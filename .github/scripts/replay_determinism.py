@@ -1,7 +1,6 @@
 """CI replay-determinism check.
 
-For each power backend: run a seeded workload to completion
-(reference), then start the same workload in a child process that
+Run a seeded workload to completion (reference), then start the same workload in a child process that
 checkpoints periodically and hard-kills itself (``os._exit``) right
 after the first checkpoint lands mid-run.  The parent resumes from the
 orphaned checkpoint file and requires a ``SimulationResult``
@@ -13,7 +12,6 @@ scenario builders from the test package).
 
 from __future__ import annotations
 
-import functools
 import os
 import subprocess
 import sys
@@ -31,7 +29,7 @@ from tests.state_scenarios import build_rich
 KILLED_EXIT_CODE = 17
 
 
-def child(path: str, backend: str) -> None:
+def child(path: str) -> None:
     """Run checkpointed and die immediately after the first checkpoint."""
     sink = checkpoint_to(path)
 
@@ -39,42 +37,35 @@ def child(path: str, backend: str) -> None:
         sink(sim_obj)
         os._exit(KILLED_EXIT_CODE)  # no cleanup, no finalize — a real kill
 
-    run_checkpointed(build_rich(backend=backend), interval=600.0,
+    run_checkpointed(build_rich(), interval=600.0,
                      sink=checkpoint_then_die)
     raise SystemExit("run finished before the first checkpoint fired")
 
 
 def main() -> int:
-    for backend in ("vector", "scalar"):
-        reference = result_fingerprint(build_rich(backend=backend).run())
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "campaign.ckpt")
-            proc = subprocess.run(
-                [sys.executable, os.path.abspath(__file__),
-                 "--child", path, backend],
-                env=os.environ,
-            )
-            if proc.returncode != KILLED_EXIT_CODE:
-                print(f"FAIL [{backend}]: child exited "
-                      f"{proc.returncode}, expected {KILLED_EXIT_CODE}")
-                return 1
-            if not os.path.exists(path):
-                print(f"FAIL [{backend}]: killed run left no checkpoint")
-                return 1
-            resumed = resume_run(
-                load_state(path),
-                functools.partial(build_rich, backend=backend),
-            )
-            if result_fingerprint(resumed) != reference:
-                print(f"FAIL [{backend}]: resumed result diverged "
-                      "from the uninterrupted run")
-                return 1
-            print(f"OK [{backend}]: killed at first checkpoint, resumed, "
-                  "result identical")
+    reference = result_fingerprint(build_rich().run())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "campaign.ckpt")
+        proc = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--child", path],
+            env=os.environ,
+        )
+        if proc.returncode != KILLED_EXIT_CODE:
+            print(f"FAIL: child exited {proc.returncode}, expected "
+                  f"{KILLED_EXIT_CODE}")
+            return 1
+        if not os.path.exists(path):
+            print("FAIL: killed run left no checkpoint")
+            return 1
+        resumed = resume_run(load_state(path), build_rich)
+        if result_fingerprint(resumed) != reference:
+            print("FAIL: resumed result diverged from the uninterrupted run")
+            return 1
+        print("OK: killed at first checkpoint, resumed, result identical")
     return 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) == 4 and sys.argv[1] == "--child":
-        child(sys.argv[2], sys.argv[3])
+    if len(sys.argv) == 3 and sys.argv[1] == "--child":
+        child(sys.argv[2])
     sys.exit(main())

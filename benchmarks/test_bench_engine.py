@@ -29,6 +29,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import pathlib
 import time
 
 import pytest
@@ -201,8 +202,8 @@ def _congested_64k(nodes: int = 65_536):
 
 
 def test_bench_congested_64k_end_to_end(artifact_dir):
-    """The ≥5x acceptance scenario: congested 64k nodes, vector
-    backend, stepped vs batched — identical results, batched wall
+    """The ≥5x acceptance scenario: congested 64k nodes, stepped vs
+    batched — identical results, batched wall
     clock at least 5x better."""
     horizon = 12.0 * HOUR
 
@@ -235,13 +236,19 @@ def test_bench_congested_64k_end_to_end(artifact_dir):
     assert speedup >= 5.0
 
 
-def _wide_job_churn(bulk_ops: bool, nodes: int = 65_536):
+def _baseline_fingerprint(section: str) -> str:
+    """Result fingerprint committed in ``baseline/BENCH_engine.json``:
+    recorded when the per-node lifecycle reference engine still ran
+    alongside and produced the same result."""
+    path = pathlib.Path(__file__).parent / "baseline" / "BENCH_engine.json"
+    return json.loads(path.read_text())[section]["fingerprint"]
+
+
+def _wide_job_churn(nodes: int = 65_536):
     """Wide-job churn on 64k nodes: every start/teardown moves a
     2k-16k node cohort, and every scheduling pass ranks the full free
-    pool by effective power.  The scalar reference transitions nodes
-    one listener call at a time and rebuilds a NodePool per pass; the
-    bulk engine moves each cohort in one SoA pass and selects rows
-    straight off the availability mask."""
+    pool by effective power.  The engine moves each cohort in one SoA
+    pass and selects rows straight off the availability mask."""
     machine = bench_machine(nodes)
     years = 8.0 * HOUR
     spec = WorkloadSpec(
@@ -261,39 +268,32 @@ def _wide_job_churn(bulk_ops: bool, nodes: int = 65_536):
         seed=3,
         sample_interval=300.0,
         trace_enabled=False,
-        bulk_ops=bulk_ops,
     )
 
 
 def test_bench_wide_job_churn_64k(artifact_dir):
-    """The bulk-transition acceptance scenario: identical results,
-    batched cohort path at least 5x faster than the scalar spec."""
+    """The bulk-transition scenario: the committed result fingerprint,
+    and the wall clock recorded for the baseline guard."""
     horizon = 8.0 * HOUR
 
-    ref = _wide_job_churn(bulk_ops=False)
-    t_scalar, res_scalar = _timed(lambda: ref.run(until=horizon))
-    bulk = _wide_job_churn(bulk_ops=True)
-    t_bulk, res_bulk = _timed(lambda: bulk.run(until=horizon))
+    sim_obj = _wide_job_churn()
+    wall, result = _timed(lambda: sim_obj.run(until=horizon))
 
-    # Decision identity before any clock comparison.
-    assert result_fingerprint(res_bulk) == result_fingerprint(res_scalar)
-    assert bulk.sim.events_fired == ref.sim.events_fired
+    # Decision identity before any clock is recorded.
+    fingerprint = result_fingerprint(result)
+    assert fingerprint == _baseline_fingerprint("wide_job_churn")
 
-    speedup = t_scalar / t_bulk
     _update_bench_json("wide_job_churn", {
         "nodes": 65_536,
-        "jobs": len(ref.jobs),
+        "jobs": len(sim_obj.jobs),
         "horizon_h": 8.0,
-        "events": ref.sim.events_fired,
-        "fingerprint": result_fingerprint(res_bulk),
-        "scalar_s": round(t_scalar, 3),
-        "bulk_s": round(t_bulk, 3),
-        "speedup": round(speedup, 2),
+        "events": sim_obj.sim.events_fired,
+        "fingerprint": fingerprint,
+        "bulk_s": round(wall, 3),
     })
-    assert speedup >= 5.0
 
 
-def _deep_queue_backfill(bulk_ops: bool, nodes: int = 4096):
+def _deep_queue_backfill(nodes: int = 4096):
     """Deep-queue conservative backfill: a burst of work arriving much
     faster than the machine drains it, so every scheduling pass walks
     hundreds of pending reservations through the free-node profile.
@@ -318,40 +318,29 @@ def _deep_queue_backfill(bulk_ops: bool, nodes: int = 4096):
         seed=17,
         sample_interval=600.0,
         trace_enabled=False,
-        bulk_ops=bulk_ops,
     )
 
 
 def test_bench_deep_queue_backfill(artifact_dir):
-    """Deep-queue conservative backfill end to end: identical results
-    between the scalar reference engine and the bulk engine, and the
-    wall clock recorded for the baseline guard."""
+    """Deep-queue conservative backfill end to end: the committed
+    result fingerprint, and the wall clock recorded for the baseline
+    guard (which is what catches profile-kernel slowdowns)."""
     horizon = 2.0 * HOUR
 
-    ref = _deep_queue_backfill(bulk_ops=False)
-    t_scalar, res_scalar = _timed(lambda: ref.run(until=horizon))
-    bulk = _deep_queue_backfill(bulk_ops=True)
-    t_bulk, res_bulk = _timed(lambda: bulk.run(until=horizon))
+    sim_obj = _deep_queue_backfill()
+    wall, result = _timed(lambda: sim_obj.run(until=horizon))
 
-    assert result_fingerprint(res_bulk) == result_fingerprint(res_scalar)
-    assert bulk.sim.events_fired == ref.sim.events_fired
+    fingerprint = result_fingerprint(result)
+    assert fingerprint == _baseline_fingerprint("deep_queue_backfill")
 
-    speedup = t_scalar / t_bulk
     _update_bench_json("deep_queue_backfill", {
         "nodes": 4096,
-        "jobs": len(ref.jobs),
+        "jobs": len(sim_obj.jobs),
         "horizon_h": 2.0,
-        "events": ref.sim.events_fired,
-        "fingerprint": result_fingerprint(res_bulk),
-        "scalar_s": round(t_scalar, 3),
-        "bulk_s": round(t_bulk, 3),
-        "speedup": round(speedup, 2),
+        "events": sim_obj.sim.events_fired,
+        "fingerprint": fingerprint,
+        "bulk_s": round(wall, 3),
     })
-    # The profile walk dominates both engines equally here; the bulk
-    # engine must simply not regress vs the scalar reference.  The
-    # wall-clock guard against the committed baseline is what catches
-    # profile-kernel slowdowns.
-    assert speedup >= 0.8
 
 
 def test_bench_sparse_multiyear_swf_replay(artifact_dir):

@@ -3,16 +3,17 @@
 The tentpole claim of the SoA power rewrite: a whole-machine power
 re-sum — what every budget/capping control loop pays per tick — runs
 as one numpy kernel over the mirror arrays instead of N Python
-``operating_point`` calls, and is ≥10× faster at 16k nodes.  The two
-backends are first asserted to agree on the benchmarked machine
-itself (on top of the randomized equivalence sweeps in
-``tests/test_power_vector.py``).
+``operating_point`` calls, and is ≥10× faster at 16k nodes.  The
+"scalar" side is timed here as that per-node loop over the
+:class:`~repro.power.model.NodePowerModel` spec, and the two are first
+asserted to agree on the benchmarked machine itself (on top of the
+randomized equivalence sweeps in ``tests/test_power_vector.py``).
 
 Also benched here:
 
 * the *wide-job reconfigure* fold — re-capping a 4096-node slice of a
   16k machine dirties those rows only; the fold is one kernel over the
-  sorted dirty rows vs a per-node Python loop;
+  sorted dirty rows vs a per-node spec delta fold;
 * ``build_context()`` at 64k nodes — the available list and usable
   count come from masks maintained on node state transitions, replacing
   the seed's two O(N) attribute scans per scheduler pass.
@@ -54,28 +55,30 @@ def _update_bench_json(section: str, payload: dict) -> None:
                     encoding="utf-8")
 
 
-def _sim(nodes: int, backend: str) -> ClusterSimulation:
-    return ClusterSimulation(
-        bench_machine(nodes), FcfsScheduler(), [], power_backend=backend
-    )
+def _sim(nodes: int) -> ClusterSimulation:
+    return ClusterSimulation(bench_machine(nodes), FcfsScheduler(), [])
 
 
 def test_bench_power_full_resum(benchmark, artifact_dir):
-    """Whole-machine power re-sum, scalar vs vector, 16k and 64k."""
+    """Whole-machine power re-sum, per-node spec vs vector, 16k and 64k."""
     rows = {}
     for n in (16_384, 65_536):
-        scalar = _sim(n, "scalar")
-        vector = _sim(n, "vector")
+        vector = _sim(n)
 
         def scalar_resum():
-            scalar._power_all_dirty = True
-            return scalar.machine_power()
+            watts = {}
+            total = 0.0
+            for node in vector.machine.nodes:
+                w = vector._node_operating_point(node).watts
+                watts[node.node_id] = w
+                total += w
+            return total
 
         def vector_resum():
             vector.power_vector.force_resum()
             return vector.machine_power()
 
-        # The backends must agree on the benchmarked machine itself.
+        # Spec and kernel must agree on the benchmarked machine itself.
         assert abs(scalar_resum() - vector_resum()) <= 1e-6 * n
 
         t_scalar = _best_of(scalar_resum)
@@ -83,7 +86,7 @@ def test_bench_power_full_resum(benchmark, artifact_dir):
         rows[n] = (t_scalar, t_vector, t_scalar / t_vector)
 
     # Machine-readable timing for the 16k vector kernel.
-    vec16 = _sim(16_384, "vector")
+    vec16 = _sim(16_384)
 
     def bench_target():
         vec16.power_vector.force_resum()
@@ -122,29 +125,38 @@ def test_bench_power_reconfigure(artifact_dir):
     """Wide-job reconfigure: re-cap a 4096-node slice of a 16k machine,
     then fold the dirty rows into the cached total."""
     n, width = 16_384, 4_096
+    csim = _sim(n)
+    csim.machine_power()  # settle the cache
+    slice_nodes = csim.machine.nodes[:width]
+    caps = iter([200.0, 300.0] * 50)
+    spec_watts = {node.node_id: csim._node_operating_point(node).watts
+                  for node in csim.machine.nodes}
+    spec_total = sum(spec_watts.values())
+
+    def spec_fold():
+        # The per-node twin of the mirror's dirty fold: re-evaluate the
+        # re-capped nodes in id order and fold their deltas.
+        nonlocal spec_total
+        for node in sorted(slice_nodes, key=lambda nd: nd.node_id):
+            w = csim._node_operating_point(node).watts
+            spec_total += w - spec_watts[node.node_id]
+            spec_watts[node.node_id] = w
+        return spec_total
+
+    # Time the fold alone: dirty the rows outside the clock.
+    def dirty_then_time(fold):
+        csim.rm.set_power_cap(slice_nodes, next(caps))
+        t0 = time.perf_counter()
+        fold()
+        return time.perf_counter() - t0
+
     results = {}
-    for backend in ("scalar", "vector"):
-        csim = _sim(n, backend)
-        csim.machine_power()  # settle the cache
-        slice_nodes = csim.machine.nodes[:width]
-        caps = iter([200.0, 300.0] * 50)
-
-        def recap_and_fold():
-            csim.rm.set_power_cap(slice_nodes, next(caps))
-            return csim.machine_power()
-
-        # Time the fold alone: dirty the rows outside the clock.
-        def fold_only():
-            return csim.machine_power()
-
-        def dirty_then_time():
-            csim.rm.set_power_cap(slice_nodes, next(caps))
-            t0 = time.perf_counter()
-            fold_only()
-            return time.perf_counter() - t0
-
-        recap_and_fold()  # warm
-        results[backend] = min(dirty_then_time() for _ in range(3))
+    for label, fold in (("scalar", spec_fold), ("vector", csim.machine_power)):
+        dirty_then_time(fold)  # warm
+        results[label] = min(dirty_then_time(fold) for _ in range(3))
+    # Both folds ended on the same caps: the totals must agree.
+    spec_fold()
+    assert abs(spec_total - csim.machine_power()) <= 1e-6 * n
 
     speedup = results["scalar"] / max(results["vector"], 1e-9)
     write_artifact(
@@ -171,7 +183,7 @@ def test_bench_power_reconfigure(artifact_dir):
 def test_bench_context_build(artifact_dir):
     """build_context() on a congested 64k machine vs the seed's scans."""
     n = 65_536
-    csim = _sim(n, "vector")
+    csim = _sim(n)
     machine = csim.machine
     # Congest the machine: all but one cabinet-ish worth of nodes busy.
     for node in machine.nodes[: n - 512]:

@@ -36,9 +36,9 @@ passes:
   in-order failure) and phase 3 with a feasibility mask, visiting only
   jobs that could possibly start.
 * Conservative plans the whole queue through one
-  :func:`repro.power.kernels.plan_conservative` call (``@njit`` twin
-  behind the ``REPRO_NO_NUMBA`` gate) with a saturation early-stop,
-  and carries the planned profile across passes: while the cluster
+  :func:`repro.power.kernels.plan_conservative_np` call with a
+  saturation early-stop, and carries the planned profile across
+  passes: while the cluster
   state and queue prefix are unchanged and no reservation has matured,
   a pass is either an O(log T) *defer* (still saturated — nothing can
   start) or a catch-up over just the newly submitted tail.
@@ -250,7 +250,7 @@ class ConservativeBackfillScheduler(Scheduler):
     ``[start, end)`` window and each earliest-slot search is a single
     sliding-window-minimum walk.  Under the batched contract (see the
     module docstring) the whole pass runs through one
-    :func:`repro.power.kernels.plan_conservative` call and the planned
+    :func:`repro.power.kernels.plan_conservative_np` call and the planned
     profile is cached across passes.
     """
 
@@ -415,7 +415,7 @@ class ConservativeBackfillScheduler(Scheduler):
         starts_out = np.empty(m - k0, dtype=np.int64)
         resv_out = np.empty((m - k0, 3), dtype=np.float64)
         n, planned, _, minf, monotone, n_starts, n_resv = (
-            kernels.plan_conservative(
+            kernels.plan_conservative_np(
                 times, free, n, nodes_a, wall_a, sfx_nodes, sfx_wall,
                 k0, now, pool_len, capacity, monotone, stop_early,
                 starts_out, resv_out,

@@ -15,11 +15,10 @@ one memmove instead of a list ``insert``):
 * sorted breakpoint times plus the free-node count on each segment,
   so point queries are one ``searchsorted`` — O(log T);
 * earliest-fit search over the reserved profile through the kernel
-  layer (:mod:`repro.power.kernels`): a JIT sliding-window-minimum
-  walk when numba is available, an early-exit skip scan otherwise —
-  both exactly identical because counts are integers — collapsing
-  to a single binary search over the cumulative release curve while
-  the profile is still monotone (the EASY shadow case);
+  layer (:func:`repro.power.kernels.earliest_fit_index_np`, an
+  early-exit skip scan, exact because counts are integers) —
+  collapsing to a single binary search over the cumulative release
+  curve while the profile is still monotone (the EASY shadow case);
 * incremental reservation insertion (subtract capacity over
   ``[start, end)``) that touches only the affected segments instead
   of re-deriving the whole profile.
@@ -218,16 +217,15 @@ class FreeNodeProfile:
         (the caller may still check the constant tail segment).
 
         Monotone profiles short-circuit to :meth:`earliest_at_least`.
-        The general (reserved) profile goes through the kernel layer
-        (:mod:`repro.power.kernels`): a JIT sliding-window-minimum
-        walk when numba is available, an early-exit skip scan
-        otherwise; counts are integers, so both paths are exactly
-        identical to the reference deque walk.
+        The general (reserved) profile goes through the skip-scan
+        kernel (:func:`repro.power.kernels.earliest_fit_index_np`);
+        counts are integers, so it is exactly identical to the
+        reference deque walk.
         """
         if self._monotone:
             return self.earliest_at_least(needed, float(self._times[0]))
         n = self._n
-        idx = kernels.earliest_fit_index_arr(
+        idx = kernels.earliest_fit_index_np(
             self._times[:n], self._free[:n], needed, duration
         )
         return None if idx < 0 else float(self._times[idx])
@@ -264,7 +262,7 @@ class FreeNodeProfile:
         grown to hold *extra* more breakpoints.
 
         The whole-pass backfill planner
-        (:func:`repro.power.kernels.plan_conservative`) mutates the
+        (:func:`repro.power.kernels.plan_conservative_np`) mutates the
         profile as flat arrays and caches them across scheduler
         passes; this accessor avoids a copy at the handoff.  Returns
         ``(times, free, n, monotone)``; the profile must not be used
@@ -284,7 +282,7 @@ class FreeNodeProfile:
             return idx
         if n == times.shape[0]:
             self._reserve_capacity(n + 1)
-        kernels.insert_point(self._times, self._free, n, idx, float(time))
+        kernels.insert_point_np(self._times, self._free, n, idx, float(time))
         self._n = n + 1
         return idx
 

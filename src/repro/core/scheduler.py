@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -71,7 +71,10 @@ class NodeSelection:
     """
 
     avail_mask: np.ndarray
-    nodes_arr: np.ndarray
+    #: ``machine.nodes`` itself (row -> Node).  A plain list on purpose:
+    #: the cyclic GC cannot see through numpy object arrays, and a node
+    #: held in one keeps its simulation alive via ``power_listener``.
+    nodes: Sequence[Node]
     max_power: np.ndarray
     variability: np.ndarray
 
@@ -121,10 +124,10 @@ class RowPool:
 
     def materialize(self, rows: np.ndarray) -> List[Node]:
         """Node objects for *rows* (the start-decision payload)."""
-        return self.selection.nodes_arr[rows].tolist()
+        return list(map(self.selection.nodes.__getitem__, rows.tolist()))
 
     def __iter__(self) -> Iterator[Node]:
-        return iter(self.selection.nodes_arr[self.rows].tolist())
+        return iter(self.materialize(self.rows))
 
 
 @dataclass(frozen=True)
@@ -181,8 +184,8 @@ class SchedulingContext:
     selection:
         Optional :class:`NodeSelection` with vectorized availability /
         power arrays.  Present only when the owning simulation can
-        guarantee it matches ``available`` exactly (vector power
-        backend, id-ordered rows, no node-filter policies); schedulers
+        guarantee it matches ``available`` exactly (id-ordered rows,
+        no node-filter policies); schedulers
         build a :class:`RowPool` from it instead of a
         :class:`NodePool` when the allocator supports row selection.
     trivial_admit:

@@ -31,7 +31,7 @@ from ..cluster.site import Site
 from ..errors import ConfigurationError, SchedulingError
 from ..power.meter import PowerMeter
 from ..power.model import NodePowerModel
-from ..power.vector import STATE_CODES, VectorPowerMirror
+from ..power.vector import STATE_CODES, LifecycleView, VectorPowerMirror
 from ..simulator.engine import EventHandle, Simulator
 from ..simulator.events import EventPriority
 from ..simulator.rng import RngStreams
@@ -80,11 +80,11 @@ class JobExecution:
         #: every pass, and rebuilding it per pass is O(job width) for
         #: each running job on every pass (dominant at 64k-node scale).
         self.node_ids: Tuple[int, ...] = tuple(n.node_id for n in nodes)
-        #: Mirror row indices of ``nodes`` (vector power backend only).
+        #: Mirror row indices of ``nodes``.
         self.rows: Optional[np.ndarray] = None
-        #: Execution-slot id (vector power backend only): index into
-        #: ``ClusterSimulation._exec_slots``, stamped into the mirror's
-        #: ``exec_slot`` rows; -1 while not running on that backend.
+        #: Execution-slot id: index into ``ClusterSimulation._exec_slots``,
+        #: stamped into the mirror's ``exec_slot`` rows; -1 while not
+        #: running.
         self.slot: int = -1
         self.work_done = 0.0
         self.speed = 1.0
@@ -147,19 +147,11 @@ class ClusterSimulation:
     cap_watts_for_metrics:
         If set, the metrics report includes the fraction of samples
         above this limit.
-    power_backend:
-        ``"vector"`` (default) evaluates machine power through the
-        structure-of-arrays mirror (:mod:`repro.power.vector`);
-        ``"scalar"`` keeps the original per-node loops — the reference
-        implementation the equivalence tests pin the mirror against.
-    bulk_ops:
-        True (default) routes multi-node lifecycle changes — job
-        start/teardown and RM cohort boots/shutdowns — through
-        ``Machine.transition_bulk`` with one listener firing per
-        cohort; False keeps the scalar per-node ``Node.transition``
-        loops, the reference the bulk equivalence tests pin against.
-        Orthogonal to *power_backend* (bulk events fold into whichever
-        backend is active).
+
+    Machine power is evaluated through the structure-of-arrays mirror
+    (:mod:`repro.power.vector`), and multi-node lifecycle changes — job
+    start/teardown and RM cohort boots/shutdowns — go through
+    ``Machine.transition_bulk`` with one listener firing per cohort.
     """
 
     def __init__(
@@ -180,8 +172,6 @@ class ClusterSimulation:
         sim: Optional[Simulator] = None,
         trace: Optional[TraceRecorder] = None,
         comm_penalty: float = 0.0,
-        power_backend: str = "vector",
-        bulk_ops: bool = True,
     ) -> None:
         self.machine = machine
         self.scheduler = scheduler
@@ -215,14 +205,12 @@ class ClusterSimulation:
         )
 
         self._executions: Dict[str, JobExecution] = {}
-        #: Per-node execution map — scalar backend only.  The vector
-        #: backend keeps membership in the mirror's ``exec_slot`` row
-        #: column plus the slot table below (see :meth:`execution_on`).
-        self._node_exec: Dict[int, JobExecution] = {}
-        #: Slot -> JobExecution (vector backend); freed slots recycle
-        #: through the freelist.  Slot numbers are pure identities —
-        #: nothing orders or hashes on them, so snapshot/restore may
-        #: renumber freely without perturbing replay.
+        #: Slot -> JobExecution; node membership lives in the mirror's
+        #: ``exec_slot`` row column (see :meth:`execution_on`).  Freed
+        #: slots recycle through the freelist.  Slot numbers are pure
+        #: identities — nothing orders or hashes on them, so
+        #: snapshot/restore may renumber freely without perturbing
+        #: replay.
         self._exec_slots: List[Optional[JobExecution]] = []
         self._free_slots: List[int] = []
         self._pass_pending = False
@@ -237,28 +225,12 @@ class ClusterSimulation:
         # only on its state/cap/frequency/variability and the (static)
         # intensity of the job bound to it — never on time directly —
         # so a running watts sum updated by delta on exactly those
-        # mutations replaces re-summing all N nodes per query.  Nodes
-        # report state/cap/frequency changes through their
-        # ``power_listener`` hook; job (un)binding is marked where
-        # ``_node_exec`` changes.  The default "vector" backend keeps
-        # the per-node fields mirrored in numpy arrays
-        # (:class:`~repro.power.vector.VectorPowerMirror`) so re-sums
-        # and wide-job re-evaluations are array kernels; the "scalar"
-        # backend is the original per-node loop, kept as the reference
-        # the equivalence tests and benchmarks compare against.
-        if power_backend not in ("vector", "scalar"):
-            raise ConfigurationError(
-                f"power_backend must be 'vector' or 'scalar', got {power_backend!r}"
-            )
-        self._node_watts: Dict[int, float] = {}
-        self._power_total = 0.0
-        self._power_dirty: set = set()
-        self._power_all_dirty = True
-        self.power_vector: Optional[VectorPowerMirror] = (
-            VectorPowerMirror(machine, self.power_model)
-            if power_backend == "vector"
-            else None
-        )
+        # mutations replaces re-summing all N nodes per query.  The
+        # per-node fields are mirrored in numpy arrays
+        # (:class:`~repro.power.vector.VectorPowerMirror`), fed by each
+        # node's ``power_listener`` hook and by job (un)binding, so
+        # re-sums and wide-job re-evaluations are array kernels.
+        self.power_vector = VectorPowerMirror(machine, self.power_model)
         # Incremental scheduling context: availability and usable-node
         # masks maintained on node state transitions (the same listener
         # feed as power accounting) so build_context() never scans all
@@ -272,11 +244,6 @@ class ClusterSimulation:
         self._rows_are_ids = all(
             node.node_id == row for row, node in enumerate(machine.nodes)
         )
-        #: Object array mirroring machine.nodes: lets build_context()
-        #: materialize the available list with one fancy-index instead
-        #: of a Python loop over the mask's set rows.
-        self._nodes_arr = np.empty(len(machine.nodes), dtype=object)
-        self._nodes_arr[:] = machine.nodes
         self._avail_mask = np.fromiter(
             (n.is_available for n in machine.nodes), dtype=bool,
             count=len(machine.nodes),
@@ -289,9 +256,7 @@ class ClusterSimulation:
         self._avail_count = int(self._avail_mask.sum())
         for node in machine.nodes:
             node.power_listener = self._on_node_event
-        self._bulk_ops = bool(bulk_ops)
-        if self._bulk_ops:
-            machine.bulk_listener = self._on_bulk_event
+        machine.bulk_listener = self._on_bulk_event
 
         self.meter = PowerMeter(
             self.sim,
@@ -366,20 +331,16 @@ class ClusterSimulation:
         state subsystem can capture pending ticks).
 
         Under :meth:`run_batched` the tick routes through
-        ``on_tick_batch`` with a lifecycle view (or None on the scalar
-        backend); the two hooks are pinned decision-identical by the
-        replay-equivalence suite.
+        ``on_tick_batch`` with a lifecycle view; the two hooks are
+        pinned decision-identical by the replay-equivalence suite.
         """
         if self._batched:
             policy.on_tick_batch(self.sim.now, self.lifecycle_view())
         else:
             policy.on_tick(self.sim.now)
 
-    def lifecycle_view(self):
-        """SoA lifecycle view of the machine at the current instant, or
-        None on the scalar backend (callers fall back to node objects)."""
-        if self.power_vector is None:
-            return None
+    def lifecycle_view(self) -> LifecycleView:
+        """SoA lifecycle view of the machine at the current instant."""
         return self.power_vector.lifecycle_view(self.sim.now)
 
     # ------------------------------------------------------------------
@@ -388,7 +349,7 @@ class ClusterSimulation:
     def _on_node_event(self, node_id: int) -> None:
         """``Node.power_listener`` target: one node's state, cap or
         frequency changed.  Updates the scheduling-context masks and
-        routes the change into the active power backend."""
+        routes the change into the power mirror."""
         row = self._node_row[node_id]
         state = self.machine.nodes[row].state
         avail = state is NodeState.IDLE
@@ -399,10 +360,7 @@ class ClusterSimulation:
         if is_down != bool(self._down_mask[row]):
             self._down_mask[row] = is_down
             self._usable_count += -1 if is_down else 1
-        if self.power_vector is not None:
-            self.power_vector.touch(node_id)
-        else:
-            self._power_dirty.add(node_id)
+        self.power_vector.touch(node_id)
 
     def _on_bulk_event(
         self, node_ids: Sequence[int], target: NodeState, time: float
@@ -410,8 +368,7 @@ class ClusterSimulation:
         """``Machine.bulk_listener`` target: a whole cohort made the
         same transition.  The SoA twin of ``len(node_ids)`` calls into
         :meth:`_on_node_event`: masks update with one scatter and the
-        power backend absorbs the cohort in one pass (vector) or one
-        dirty-set union (scalar)."""
+        power mirror absorbs the cohort in one pass."""
         if self._rows_are_ids:
             rows = np.asarray(node_ids, dtype=np.intp)
         else:
@@ -441,10 +398,7 @@ class ClusterSimulation:
             if was_down:
                 self._down_mask[rows] = False
                 self._usable_count += was_down
-        if self.power_vector is not None:
-            self.power_vector.transition_rows(rows, STATE_CODES[target], time)
-        else:
-            self._power_dirty.update(node_ids)
+        self.power_vector.transition_rows(rows, STATE_CODES[target], time)
 
     @property
     def usable_node_count(self) -> int:
@@ -453,17 +407,13 @@ class ClusterSimulation:
         return self._usable_count
 
     def execution_on(self, node_id: int) -> Optional[JobExecution]:
-        """Execution occupying *node_id*, or None.  O(1) on both
-        backends: an ``exec_slot`` row read on the vector backend, the
-        ``_node_exec`` dict on the scalar reference path."""
-        mirror = self.power_vector
-        if mirror is not None:
-            slot = mirror.exec_slot[self._node_row[node_id]]
-            return self._exec_slots[slot] if slot >= 0 else None
-        return self._node_exec.get(node_id)
+        """Execution occupying *node_id*, or None (one O(1)
+        ``exec_slot`` row read)."""
+        slot = self.power_vector.exec_slot[self._node_row[node_id]]
+        return self._exec_slots[slot] if slot >= 0 else None
 
     def _alloc_slot(self, execution: JobExecution) -> int:
-        """Assign a slot id to *execution* (vector backend)."""
+        """Assign a slot id to *execution*."""
         if self._free_slots:
             slot = self._free_slots.pop()
         else:
@@ -474,7 +424,7 @@ class ClusterSimulation:
         return slot
 
     def _release_slot(self, execution: JobExecution) -> None:
-        """Return *execution*'s slot to the freelist (vector backend)."""
+        """Return *execution*'s slot to the freelist."""
         slot = execution.slot
         if slot >= 0:
             self._exec_slots[slot] = None
@@ -482,6 +432,10 @@ class ClusterSimulation:
             execution.slot = -1
 
     def _node_operating_point(self, node: Node):
+        """Spec operating point of one node: ``NodePowerModel`` with the
+        bound job's intensity/sensitivity.  For per-node readers
+        (thermal forecasts, group meters) that need the scalar model's
+        floats rather than the mirror's vectorized ones."""
         execution = self.execution_on(node.node_id)
         if execution is not None:
             job = execution.job
@@ -494,37 +448,13 @@ class ClusterSimulation:
         """Instantaneous IT power of the machine, watts.
 
         O(1) when nothing changed since the last call; one vectorized
-        kernel over the dirty rows (vector backend) or an O(d log d)
-        Python fold (scalar backend) otherwise.  When at least half the
+        kernel over the dirty rows otherwise.  When at least half the
         machine is dirty the whole sum is rebuilt instead — that is no
         slower than the delta path and resets any accumulated
-        floating-point drift.  Dirty nodes are folded in sorted id
-        order so the result is independent of mutation order.
+        floating-point drift.  Dirty rows are folded in sorted order so
+        the result is independent of mutation order.
         """
-        if self.power_vector is not None:
-            return self.power_vector.machine_watts()
-        dirty = self._power_dirty
-        if self._power_all_dirty or 2 * len(dirty) >= len(self.machine.nodes):
-            watts = self._node_watts
-            total = 0.0
-            for node in self.machine.nodes:
-                w = self._node_operating_point(node).watts
-                watts[node.node_id] = w
-                total += w
-            self._power_total = total
-            self._power_all_dirty = False
-            dirty.clear()
-        elif dirty:
-            watts = self._node_watts
-            total = self._power_total
-            node_of = self.machine.node
-            for nid in sorted(dirty):
-                w = self._node_operating_point(node_of(nid)).watts
-                total += w - watts[nid]
-                watts[nid] = w
-            self._power_total = total
-            dirty.clear()
-        return self._power_total
+        return self.power_vector.machine_watts()
 
     def invalidate_power_cache(self) -> None:
         """Force a full re-sum on the next :meth:`machine_power` call.
@@ -533,9 +463,7 @@ class ClusterSimulation:
         hooks (e.g. re-drawing manufacturing variability on a machine
         already attached to a simulation).
         """
-        self._power_all_dirty = True
-        if self.power_vector is not None:
-            self.power_vector.invalidate()
+        self.power_vector.invalidate()
         # State fields may have been rewritten out of band too; one
         # O(N) rebuild keeps the context masks honest (this path is for
         # rare bulk mutations, never the per-event hot path).
@@ -553,18 +481,11 @@ class ClusterSimulation:
     def node_watts(self) -> np.ndarray:
         """Per-node instantaneous draw, ``machine.nodes`` order.
 
-        One array kernel on the vector backend; the scalar backend
-        falls back to the per-node reference loop.  Control loops that
-        need every node's draw (RAPL windows, group caps) should call
-        this once per tick instead of querying node by node.
+        One array kernel.  Control loops that need every node's draw
+        (RAPL windows, group caps) should call this once per tick
+        instead of querying node by node.
         """
-        if self.power_vector is not None:
-            return self.power_vector.node_watts()
-        return np.fromiter(
-            (self._node_operating_point(n).watts for n in self.machine.nodes),
-            dtype=float,
-            count=len(self.machine.nodes),
-        )
+        return self.power_vector.node_watts()
 
     def job_power(self, job_id: str) -> float:
         """Instantaneous power of one running job, watts."""
@@ -603,26 +524,13 @@ class ClusterSimulation:
         return 1.0 + self.comm_penalty * comm_fraction * excess
 
     def _compute_operating(self, execution: JobExecution) -> Tuple[float, float, bool]:
-        """(speed, power, violated) of a job across its nodes now."""
-        job = execution.job
-        if self.power_vector is not None and execution.rows is not None:
-            # One kernel over the job's rows; the mirror already holds
-            # the job's intensity/sensitivity from bind().
-            op = self.power_vector.operating_points(execution.rows)
-            speed = min(1.0, float(op.speed.min()))
-            power = float(op.watts.sum())
-            violated = bool(op.cap_violated.any())
-        else:
-            speed = 1.0
-            power = 0.0
-            violated = False
-            for node in execution.nodes:
-                sample = self.power_model.operating_point(
-                    node, job.mean_power_intensity, job.mean_sensitivity
-                )
-                speed = min(speed, sample.speed)
-                power += sample.watts
-                violated = violated or sample.cap_violated
+        """(speed, power, violated) of a job across its nodes now: one
+        kernel over the job's rows (the mirror already holds the job's
+        intensity/sensitivity from ``bind_execution``)."""
+        op = self.power_vector.operating_points(execution.rows)
+        speed = min(1.0, float(op.speed.min()))
+        power = float(op.watts.sum())
+        violated = bool(op.cap_violated.any())
         speed /= execution.placement_penalty
         return max(speed, 1e-9), power, violated
 
@@ -666,29 +574,19 @@ class ClusterSimulation:
 
         (The nodes marked themselves power-dirty via their listener
         hook when the cap/frequency was written.)  Affected executions
-        are visited in first-occurrence order of *node_ids* on both
-        backends — the vector path dedups slot ids with one gather
-        instead of a per-node dict probe, then restores that order.
+        are visited in first-occurrence order of *node_ids*: slot ids
+        are deduplicated with one gather, then put back in that order.
         """
         mirror = self.power_vector
-        if mirror is not None:
-            rows = mirror.rows_for(node_ids)
-            slots = mirror.exec_slot[rows]
-            slots = slots[slots >= 0]
-            if slots.size == 0:
-                return
-            uniq, first = np.unique(slots, return_index=True)
-            exec_slots = self._exec_slots
-            for slot in uniq[np.argsort(first, kind="stable")].tolist():
-                self._reevaluate_execution(exec_slots[slot])
+        rows = mirror.rows_for(node_ids)
+        slots = mirror.exec_slot[rows]
+        slots = slots[slots >= 0]
+        if slots.size == 0:
             return
-        seen = set()
-        for nid in node_ids:
-            execution = self._node_exec.get(nid)
-            if execution is None or execution.job.job_id in seen:
-                continue
-            seen.add(execution.job.job_id)
-            self._reevaluate_execution(execution)
+        uniq, first = np.unique(slots, return_index=True)
+        exec_slots = self._exec_slots
+        for slot in uniq[np.argsort(first, kind="stable")].tolist():
+            self._reevaluate_execution(exec_slots[slot])
 
     # ------------------------------------------------------------------
     # Job life-cycle
@@ -714,39 +612,29 @@ class ClusterSimulation:
         for policy in self.policies:
             policy.configure_start(job, node_list, now)
 
-        # Execution membership: on the vector backend it lives in the
-        # mirror's exec_slot column (stamped below in one scatter), so
-        # neither ``node.running_job`` nor a per-node dict is written —
-        # the scalar backend keeps both as the reference path.
-        vector = self.power_vector is not None
-        if self._bulk_ops and len(node_list) > 1:
-            if not vector:
-                for node in node_list:
-                    node.running_job = job.job_id
+        # Execution membership lives in the mirror's exec_slot column
+        # (stamped below in one scatter); ``node.running_job`` is not
+        # written.
+        if len(node_list) > 1:
             self.machine.transition_bulk(
                 node_ids, NodeState.BUSY, now, nodes=node_list
             )
-        elif vector:
-            for node in node_list:
-                node.transition(NodeState.BUSY, now)
         else:
             for node in node_list:
-                node.running_job = job.job_id
                 node.transition(NodeState.BUSY, now)
 
         execution = JobExecution(job, node_list)
         execution.last_update = now
         execution.placement_penalty = self._placement_penalty(job, node_ids)
         # Binding changes the nodes' billed draw (job intensity); it
-        # must land in the power backend before _compute_operating.
-        if vector:
-            execution.rows = self.power_vector.rows_for(node_ids)
-            self.power_vector.bind_execution(
-                execution.rows,
-                self._alloc_slot(execution),
-                job.mean_power_intensity,
-                job.mean_sensitivity,
-            )
+        # must land in the mirror before _compute_operating.
+        execution.rows = self.power_vector.rows_for(node_ids)
+        self.power_vector.bind_execution(
+            execution.rows,
+            self._alloc_slot(execution),
+            job.mean_power_intensity,
+            job.mean_sensitivity,
+        )
         speed, power, violated = self._compute_operating(execution)
         execution.speed = speed
         execution.power_watts = power
@@ -754,10 +642,6 @@ class ClusterSimulation:
         if violated:
             self.trace.emit(now, "power.cap_violation", job=job.job_id)
         self._executions[job.job_id] = execution
-        if not vector:
-            for node in node_list:
-                self._node_exec[node.node_id] = execution
-                self._power_dirty.add(node.node_id)
 
         self._schedule_end(execution)
         execution.timeout_handle = self.sim.at(
@@ -780,42 +664,22 @@ class ClusterSimulation:
             execution.timeout_handle.cancel()
         now = self.sim.now
         mirror = self.power_vector
-        if mirror is not None and execution.rows is not None:
-            # Nodes that left BUSY out of band (failure -> DOWN) are
-            # skipped exactly like the scalar loop's release guard —
-            # filtered on the SoA state column instead of a node scan.
-            rows = execution.rows
-            busy_rows = rows[mirror.state_code[rows] == _BUSY_CODE]
-            if self._bulk_ops and len(execution.nodes) > 1:
-                if busy_rows.size:
-                    busy = self._nodes_arr[busy_rows].tolist()
-                    self.machine.transition_bulk(
-                        [n.node_id for n in busy], NodeState.IDLE, now,
-                        nodes=busy,
-                    )
-            else:
-                for node in self._nodes_arr[busy_rows].tolist():
-                    node.transition(NodeState.IDLE, now)
-            mirror.unbind_execution(rows)
-            self._release_slot(execution)
-        elif self._bulk_ops and len(execution.nodes) > 1:
-            busy = [n for n in execution.nodes if n.state is NodeState.BUSY]
-            for node in busy:
-                node.running_job = None
+        # Nodes that left BUSY out of band (failure -> DOWN) stay where
+        # they are — filtered on the SoA state column, not a node scan.
+        rows = execution.rows
+        busy_rows = rows[mirror.state_code[rows] == _BUSY_CODE]
+        busy = list(map(self.machine.nodes.__getitem__, busy_rows.tolist()))
+        if len(execution.nodes) > 1:
             if busy:
                 self.machine.transition_bulk(
                     [n.node_id for n in busy], NodeState.IDLE, now,
                     nodes=busy,
                 )
-            for node in execution.nodes:
-                self._node_exec.pop(node.node_id, None)
-                self._power_dirty.add(node.node_id)
         else:
-            for node in execution.nodes:
-                if node.state is NodeState.BUSY:
-                    node.release(now)
-                self._node_exec.pop(node.node_id, None)
-                self._power_dirty.add(node.node_id)
+            for node in busy:
+                node.transition(NodeState.IDLE, now)
+        mirror.unbind_execution(rows)
+        self._release_slot(execution)
         self._executions.pop(execution.job.job_id, None)
 
     def _finish(self, job_id: str, outcome: str, reason: str = "") -> None:
@@ -920,15 +784,12 @@ class ClusterSimulation:
         now = self.sim.now
         available: Optional[List[Node]] = None
         if self._filter_policies:
-            available = self._nodes_arr[self._avail_mask].tolist()
+            available = self._available_nodes()
             for policy in self._filter_policies:
                 available = policy.filter_nodes(available, now)
             avail_count = len(available)
         else:
             avail_count = self._avail_count
-
-        def available_factory() -> List[Node]:
-            return self._nodes_arr[self._avail_mask].tolist()
 
         pending = self.queue.pending()
         # SoA queue columns for batched scheduler passes — only when no
@@ -964,21 +825,13 @@ class ClusterSimulation:
 
         # Vectorized selection arrays for batch-aware allocators: only
         # when they are guaranteed to agree with the available list —
-        # vector backend (the mirror carries the power columns), row
-        # order == id order, no filter policy rewriting the list, and
-        # bulk ops enabled (one switch flips the whole batched engine,
-        # which is what the equivalence tests and benches compare).
+        # row order == id order and no filter policy rewriting the list.
         mirror = self.power_vector
         selection = None
-        if (
-            self._bulk_ops
-            and mirror is not None
-            and mirror._ids_monotone
-            and not self._filter_policies
-        ):
+        if mirror._ids_monotone and not self._filter_policies:
             selection = NodeSelection(
                 avail_mask=self._avail_mask,
-                nodes_arr=self._nodes_arr,
+                nodes=self.machine.nodes,
                 max_power=mirror.max_power,
                 variability=mirror.variability,
             )
@@ -992,7 +845,7 @@ class ClusterSimulation:
             admit=admit,
             usable_node_count=usable,
             selection=selection,
-            available_factory=available_factory,
+            available_factory=self._available_nodes,
             running_factory=running_factory,
             avail_count=avail_count,
             # With zero policies the admit closure above is a vacuous
@@ -1001,6 +854,13 @@ class ClusterSimulation:
             trivial_admit=not self.policies,
             pending_arrays=pending_arrays,
         )
+
+    def _available_nodes(self) -> List[Node]:
+        """Available nodes in row (== id) order, off the live mask."""
+        return list(map(
+            self.machine.nodes.__getitem__,
+            np.flatnonzero(self._avail_mask).tolist(),
+        ))
 
     def _schedule_pass(self) -> None:
         self._pass_pending = False
@@ -1015,13 +875,13 @@ class ClusterSimulation:
         decisions = self.scheduler.schedule(ctx)
         granted = set()
         now = self.sim.now
-        # Mask-based twin of the per-node grant guards for the bulk
-        # engine: the availability mask is fed by the same listeners
-        # `is_available` reflects, and double-booking within the pass
-        # is caught by each cohort clearing its own mask rows when the
-        # job starts — so one vectorized read per decision replaces
-        # two Python scans over a (possibly 16k-wide) cohort.
-        vector_guard = self._bulk_ops and self._rows_are_ids
+        # Mask-based twin of the per-node grant guards: the
+        # availability mask is fed by the same listeners `is_available`
+        # reflects, and double-booking within the pass is caught by
+        # each cohort clearing its own mask rows when the job starts —
+        # so one vectorized read per decision replaces two Python scans
+        # over a (possibly 16k-wide) cohort.
+        vector_guard = self._rows_are_ids
         for decision in decisions:
             # Re-check admission at apply time: earlier starts in this
             # same pass have already raised machine power, and the

@@ -109,8 +109,7 @@ class Policy:
 
         ``ClusterSimulation.run_batched`` routes policy ticks here,
         passing a :class:`~repro.power.vector.LifecycleView` (SoA
-        arrays over the machine) when the vector power backend is
-        active, else ``None``.  Overrides must stay *decision- and
+        arrays over the machine).  Overrides must stay *decision- and
         arithmetic-identical* to ``on_tick`` — batched runs are pinned
         replay-identical to stepped runs by the ``repro.state``
         harness, so even float accumulation order matters for any

@@ -62,48 +62,31 @@ class DvfsBudgetPolicy(Policy):
             )
 
     # ------------------------------------------------------------------
-    def _job_draw_at(self, job: Job, freq: float) -> float:
-        """Predicted extra draw of the job at *freq* (idle already paid)."""
-        model = self.simulation.power_model
-        node = self.simulation.machine.nodes[0]
-        ratio = freq / node.max_frequency
-        per_node = model.power_at_ratio(node, ratio, job.mean_power_intensity)
-        return job.nodes * (per_node - node.idle_power)
-
     def _pick_frequency(self, job: Job, now: float) -> Optional[float]:
         """Highest ladder frequency fitting the headroom, or None."""
         headroom = self.budget_watts - self.simulation.machine_power()
-        model = self.simulation.power_model
         node = self.simulation.machine.nodes[0]
         mirror = self.simulation.power_vector
-        if mirror is not None:
-            # Evaluate the whole ladder in one kernel (descending, so
-            # argmax picks the highest admissible frequency) against
-            # the reference node's row.
-            freqs = np.asarray(self.ladder.frequencies, dtype=float)[::-1]
-            row = mirror.rows_for([node.node_id])
-            rows = np.broadcast_to(row, freqs.shape)
-            per_node = mirror.power_at_ratio(
-                rows, freqs / node.max_frequency, job.mean_power_intensity
-            )
-            draws = job.nodes * (per_node - node.idle_power)
-            speeds = np.maximum(
-                1e-9,
-                1.0
-                - min(1.0, max(0.0, job.mean_sensitivity))
-                * (1.0 - np.clip(freqs / node.max_frequency, 0.0, 1.0)),
-            )
-            admissible = (draws <= headroom) & (speeds >= self.min_speed)
-            if not admissible.any():
-                return None
-            return float(freqs[int(np.argmax(admissible))])
-        for freq in reversed(self.ladder.frequencies):
-            if self._job_draw_at(job, freq) <= headroom:
-                ratio = freq / node.max_frequency
-                speed = model.speed_at_ratio(ratio, job.mean_sensitivity)
-                if speed >= self.min_speed:
-                    return freq
-        return None
+        # Evaluate the whole ladder in one kernel (descending, so argmax
+        # picks the highest admissible frequency) against the reference
+        # node's row.
+        freqs = np.asarray(self.ladder.frequencies, dtype=float)[::-1]
+        row = mirror.rows_for([node.node_id])
+        rows = np.broadcast_to(row, freqs.shape)
+        per_node = mirror.power_at_ratio(
+            rows, freqs / node.max_frequency, job.mean_power_intensity
+        )
+        draws = job.nodes * (per_node - node.idle_power)
+        speeds = np.maximum(
+            1e-9,
+            1.0
+            - min(1.0, max(0.0, job.mean_sensitivity))
+            * (1.0 - np.clip(freqs / node.max_frequency, 0.0, 1.0)),
+        )
+        admissible = (draws <= headroom) & (speeds >= self.min_speed)
+        if not admissible.any():
+            return None
+        return float(freqs[int(np.argmax(admissible))])
 
     # ------------------------------------------------------------------
     def admit(self, job: Job, now: float) -> bool:

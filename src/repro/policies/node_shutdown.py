@@ -94,9 +94,6 @@ class IdleShutdownPolicy(Policy):
         accumulates in the same sequential order (it is captured in
         ``repro.state`` snapshots, so even summation order matters).
         """
-        if view is None:
-            self.on_tick(now)
-            return
         rm = self.simulation.rm
         demand = self._queue_demand()
         supply = view.count_in_state(_IDLE) + view.count_in_state(_BOOTING)

@@ -70,28 +70,18 @@ class StaticCappingPolicy(Policy):
 
     def worst_case_power(self) -> float:
         """Guaranteed machine power bound under this partitioning."""
-        machine = self.simulation.machine
         mirror = self.simulation.power_vector
-        if mirror is not None:
-            effective_max = mirror.max_power * mirror.variability
-            capped = np.zeros(len(mirror), dtype=bool)
-            if self.capped_node_ids:
-                capped[mirror.rows_for(self.capped_node_ids)] = True
-            return float(
-                np.where(
-                    capped,
-                    np.minimum(self.cap_watts, effective_max),
-                    effective_max,
-                ).sum()
-            )
-        capped_ids = set(self.capped_node_ids)
-        total = 0.0
-        for node in machine.nodes:
-            if node.node_id in capped_ids:
-                total += min(self.cap_watts, node.effective_max_power)
-            else:
-                total += node.effective_max_power
-        return total
+        effective_max = mirror.max_power * mirror.variability
+        capped = np.zeros(len(mirror), dtype=bool)
+        if self.capped_node_ids:
+            capped[mirror.rows_for(self.capped_node_ids)] = True
+        return float(
+            np.where(
+                capped,
+                np.minimum(self.cap_watts, effective_max),
+                effective_max,
+            ).sum()
+        )
 
     def epa_components(self) -> List[Tuple[str, FunctionalCategory, str]]:
         return [

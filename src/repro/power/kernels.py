@@ -1,72 +1,40 @@
-"""Optional numba kernel layer for the three hottest engine loops.
+"""Array kernels for the engine's hottest loops.
 
-The engine's hot paths — the ``machine_watts`` dirty fold, the
-earliest-fit window scan in :class:`~repro.core.profile.FreeNodeProfile`
-and bulk transition application in
-:class:`~repro.power.vector.VectorPowerMirror` — are numpy-vectorized
-already; this module adds JIT-compiled twins for deployments that have
-numba installed, and *identical-output* numpy fallbacks everywhere else.
+One numpy kernel per operation, each called directly by its engine
+caller:
 
-Gating contract
----------------
-* ``HAVE_NUMBA`` is True only when ``import numba`` succeeds **and**
-  the ``REPRO_NO_NUMBA`` environment variable is unset/empty.  The
-  env override exists so CI can exercise the fallback path on hosts
-  that do have numba.
-* Every public function dispatches on ``HAVE_NUMBA`` internally;
-  callers never branch.  The ``*_np`` twins stay importable so the
-  equivalence tests can pin ``nb == np`` bit-for-bit when numba is
-  present.
-* Bit-identity discipline: the JIT loops perform the *same float64
-  operations in the same order* as the numpy expressions (both resolve
-  to the platform libm for ``pow``), and reductions are **never**
-  performed inside a kernel — totals go through ``np.sum`` on the
-  caller side so pairwise summation order is shared by both paths.
+* :func:`node_watts_np` — per-row watts, the inner kernel of
+  :meth:`~repro.power.vector.VectorPowerMirror.machine_watts`;
+* :func:`earliest_fit_index_np` — the earliest-fit window scan of
+  :class:`~repro.core.profile.FreeNodeProfile`;
+* :func:`insert_point_np` — breakpoint insertion into the profile
+  arrays;
+* :func:`plan_conservative_np` — a whole conservative-backfill pass
+  (:class:`~repro.core.backfill.ConservativeBackfillScheduler`).
+
+The ``*_py`` functions (:func:`earliest_fit_index_py`,
+:func:`plan_conservative_py`) are plain-python test oracles: nothing in
+the engine calls them, and the randomized sweeps in ``tests/`` pin each
+numpy kernel against its oracle decision for decision.  Reductions are
+never performed inside a kernel — totals go through ``np.sum`` on the
+caller side, so summation order is fixed by the caller.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from typing import Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
-    "HAVE_NUMBA",
-    "node_watts",
     "node_watts_np",
-    "earliest_fit_index",
-    "earliest_fit_index_arr",
     "earliest_fit_index_np",
     "earliest_fit_index_py",
-    "apply_transition",
-    "apply_transition_np",
-    "insert_point",
     "insert_point_np",
-    "plan_conservative",
     "plan_conservative_np",
     "plan_conservative_py",
 ]
-
-try:  # pragma: no cover - exercised only where numba is installed
-    if os.environ.get("REPRO_NO_NUMBA"):
-        raise ImportError("numba disabled via REPRO_NO_NUMBA")
-    from numba import njit  # type: ignore
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the default in this image
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore
-        """No-op decorator standing in for ``numba.njit``."""
-        if args and callable(args[0]):
-            return args[0]
-
-        def decorate(func):
-            return func
-
-        return decorate
 
 
 # Small-int state codes, kept in sync with ``vector.STATE_CODES`` (the
@@ -98,8 +66,8 @@ def node_watts_np(
     shut_frac: float,
 ) -> np.ndarray:
     """Watts per row — the watts column of
-    :meth:`VectorPowerMirror.operating_points`, extracted so the JIT
-    twin and the mirror share one reference expression."""
+    :meth:`VectorPowerMirror.operating_points`, extracted so the
+    ``machine_watts`` fold skips the speed/ratio/violation columns."""
     off = (state == _OFF) | (state == _DOWN)
     boot = state == _BOOTING
     shut = state == _SHUTTING_DOWN
@@ -130,74 +98,6 @@ def node_watts_np(
     )
 
 
-@njit(cache=False)
-def _node_watts_nb(
-    state, idle, max_p, off_p, var, freq, min_f, max_f, cap, util,
-    alpha, boot_frac, shut_frac,
-):  # pragma: no cover - compiled only where numba is installed
-    n = state.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    inv_alpha = 1.0 / alpha
-    for i in range(n):
-        s = state[i]
-        if s == _OFF or s == _DOWN:
-            out[i] = off_p[i]
-        elif s == _BOOTING:
-            out[i] = off_p[i] + boot_frac * (max_p[i] * var[i])
-        elif s == _SHUTTING_DOWN:
-            out[i] = idle[i] * shut_frac
-        elif s == _IDLE:
-            out[i] = idle[i]
-        else:
-            # BUSY: same op order as the numpy expression above.
-            f_set = freq[i] / max_f[i]
-            dyn = (max_p[i] - idle[i]) * var[i] * util[i]
-            f_eff = f_set
-            c = cap[i]
-            if np.isfinite(c) and dyn > 0.0:
-                if idle[i] + dyn * f_set**alpha > c:
-                    budget = c - idle[i]
-                    if budget < 0.0:
-                        budget = 0.0
-                    f_cap = (budget / dyn) ** inv_alpha
-                    f_eff = min(f_set, f_cap)
-                    if f_cap < min_f[i] / max_f[i]:
-                        f_eff = min_f[i] / max_f[i]
-            out[i] = idle[i] + dyn * f_eff**alpha
-    return out
-
-
-def node_watts(
-    state: np.ndarray,
-    idle: np.ndarray,
-    max_p: np.ndarray,
-    off_p: np.ndarray,
-    var: np.ndarray,
-    freq: np.ndarray,
-    min_f: np.ndarray,
-    max_f: np.ndarray,
-    cap: np.ndarray,
-    util: np.ndarray,
-    alpha: float,
-    boot_frac: float,
-    shut_frac: float,
-) -> np.ndarray:
-    """Per-row watts; JIT loop when numba is available, numpy otherwise.
-
-    Callers sum the result themselves (``np.sum`` pairwise order) so
-    totals are bit-identical across both paths.
-    """
-    if HAVE_NUMBA:
-        return _node_watts_nb(
-            state, idle, max_p, off_p, var, freq, min_f, max_f, cap,
-            util, alpha, boot_frac, shut_frac,
-        )
-    return node_watts_np(
-        state, idle, max_p, off_p, var, freq, min_f, max_f, cap, util,
-        alpha, boot_frac, shut_frac,
-    )
-
-
 # ----------------------------------------------------------------------
 # Kernel 2: earliest-fit window scan over a reserved free-node profile
 # ----------------------------------------------------------------------
@@ -211,7 +111,8 @@ def earliest_fit_index_py(
     index of the earliest breakpoint from which *needed* nodes stay
     free for *duration*, or -1.  Mirrors
     :meth:`FreeNodeProfile.earliest_fit` (non-monotone branch) with a
-    ring buffer instead of a deque so the JIT twin is line-for-line."""
+    ring buffer instead of a deque.  Test oracle for
+    :func:`earliest_fit_index_np`."""
     n = len(times)
     win = [0] * n
     head = 0
@@ -228,34 +129,6 @@ def earliest_fit_index_py(
         while tail > head and win[head] < i:
             head += 1
         low = free[win[head]] if tail > head else free[i]
-        if low >= needed:
-            return i
-    return -1
-
-
-@njit(cache=False)
-def _earliest_fit_nb(
-    times, free, needed, duration
-):  # pragma: no cover - compiled only where numba is installed
-    n = times.shape[0]
-    win = np.empty(n, dtype=np.int64)
-    head = 0
-    tail = 0
-    j = 0
-    for i in range(n):
-        end = times[i] + duration
-        while j < n and times[j] < end:
-            while tail > head and free[win[tail - 1]] >= free[j]:
-                tail -= 1
-            win[tail] = j
-            tail += 1
-            j += 1
-        while tail > head and win[head] < i:
-            head += 1
-        if tail > head:
-            low = free[win[head]]
-        else:
-            low = free[i]
         if low >= needed:
             return i
     return -1
@@ -308,96 +181,8 @@ def earliest_fit_index_np(
     return -1
 
 
-def earliest_fit_index(
-    times: Sequence[float],
-    free: Sequence[int],
-    needed: int,
-    duration: float,
-) -> int:
-    """Dispatching earliest-fit scan; integer counts make the result
-    exact, so all three paths are trivially identical."""
-    times_arr = np.asarray(times, dtype=np.float64)
-    free_arr = np.asarray(free, dtype=np.int64)
-    if HAVE_NUMBA:
-        return int(
-            _earliest_fit_nb(times_arr, free_arr, needed, float(duration))
-        )
-    return earliest_fit_index_np(times_arr, free_arr, needed, float(duration))
-
-
-if HAVE_NUMBA:  # pragma: no cover - bound only where numba is installed
-
-    def earliest_fit_index_arr(
-        times: np.ndarray,
-        free: np.ndarray,
-        needed: int,
-        duration: float,
-    ) -> int:
-        """Array-input twin of :func:`earliest_fit_index` for callers
-        that already hold float64/int64 arrays (the dispatcher's
-        ``asarray`` round-trip is pure overhead at ~400k calls per
-        backfill-heavy run)."""
-        return int(_earliest_fit_nb(times, free, needed, float(duration)))
-
-else:
-    earliest_fit_index_arr = earliest_fit_index_np
-
-
 # ----------------------------------------------------------------------
-# Kernel 3: bulk transition application (SoA scatter)
-# ----------------------------------------------------------------------
-def apply_transition_np(
-    state_code: np.ndarray,
-    idle_since: np.ndarray,
-    bound_jobs: np.ndarray,
-    rows: np.ndarray,
-    code: int,
-    idle_ts: float,
-    bound: int,
-) -> None:
-    """Scatter one lifecycle transition onto *rows* in place:
-    ``state_code[rows] = code``, ``idle_since[rows] = idle_ts`` (NaN
-    for non-idle targets) and ``bound_jobs[rows] = bound``."""
-    state_code[rows] = code
-    idle_since[rows] = idle_ts
-    bound_jobs[rows] = bound
-
-
-@njit(cache=False)
-def _apply_transition_nb(
-    state_code, idle_since, bound_jobs, rows, code, idle_ts, bound
-):  # pragma: no cover - compiled only where numba is installed
-    for k in range(rows.shape[0]):
-        r = rows[k]
-        state_code[r] = code
-        idle_since[r] = idle_ts
-        bound_jobs[r] = bound
-
-
-def apply_transition(
-    state_code: np.ndarray,
-    idle_since: np.ndarray,
-    bound_jobs: np.ndarray,
-    rows: np.ndarray,
-    code: int,
-    idle_ts: float,
-    bound: int,
-) -> None:
-    """Dispatching bulk-transition scatter (pure assignments, so both
-    paths are exactly identical)."""
-    if HAVE_NUMBA:
-        _apply_transition_nb(
-            state_code, idle_since, bound_jobs, rows,
-            np.int8(code), float(idle_ts), np.int32(bound),
-        )
-        return
-    apply_transition_np(
-        state_code, idle_since, bound_jobs, rows, code, idle_ts, bound
-    )
-
-
-# ----------------------------------------------------------------------
-# Kernel 4: breakpoint insertion shift (FreeNodeProfile._ensure_point)
+# Kernel 3: breakpoint insertion shift (FreeNodeProfile._ensure_point)
 # ----------------------------------------------------------------------
 def insert_point_np(
     times: np.ndarray,
@@ -419,34 +204,8 @@ def insert_point_np(
     free[idx] = free[idx - 1]
 
 
-@njit(cache=False)
-def _insert_point_nb(
-    times, free, n, idx, time
-):  # pragma: no cover - compiled only where numba is installed
-    for k in range(n, idx, -1):
-        times[k] = times[k - 1]
-        free[k] = free[k - 1]
-    times[idx] = time
-    free[idx] = free[idx - 1]
-
-
-def insert_point(
-    times: np.ndarray,
-    free: np.ndarray,
-    n: int,
-    idx: int,
-    time: float,
-) -> None:
-    """Dispatching breakpoint insertion (pure moves, so both paths are
-    exactly identical)."""
-    if HAVE_NUMBA:
-        _insert_point_nb(times, free, np.int64(n), np.int64(idx), float(time))
-        return
-    insert_point_np(times, free, n, idx, time)
-
-
 # ----------------------------------------------------------------------
-# Kernel 5: whole-pass conservative backfill planning
+# Kernel 4: whole-pass conservative backfill planning
 # ----------------------------------------------------------------------
 # One call plans the queue slice ``[k0, m)`` against a free-node
 # profile held in flat ``(times, free)`` arrays: earliest-fit search,
@@ -494,7 +253,8 @@ def plan_conservative_py(
     resv_out: np.ndarray,
 ) -> Tuple[int, int, int, float, bool, int, int]:
     """Reference implementation on python lists (bisect + list.insert),
-    mirroring :meth:`FreeNodeProfile` semantics op for op.  Returns
+    mirroring :meth:`FreeNodeProfile` semantics op for op; test oracle
+    for :func:`plan_conservative_np`.  Returns
     ``(n, planned, pool_free, minf, monotone, n_starts, n_resv)`` and
     writes the planned profile back into ``times``/``free``."""
     t = times[:n].tolist()
@@ -669,143 +429,3 @@ def _ensure_point_arr(
         return idx, n
     insert_point_np(times, free, n, idx, x)
     return idx, n + 1
-
-
-@njit(cache=False)
-def _bisect_left_f64_nb(a, n, x):  # pragma: no cover - numba only
-    lo = 0
-    hi = n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if a[mid] < x:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-@njit(cache=False)
-def _bisect_left_i64_nb(a, n, x):  # pragma: no cover - numba only
-    lo = 0
-    hi = n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if a[mid] < x:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-@njit(cache=False)
-def _plan_conservative_nb(
-    times, free, n, nodes_req, wall, sfx_nodes, sfx_wall, k0, now,
-    pool_free, capacity, monotone, stop_early, starts_out, resv_out,
-):  # pragma: no cover - compiled only where numba is installed
-    m = nodes_req.shape[0]
-    minf = np.inf
-    n_starts = 0
-    n_resv = 0
-    k = k0
-    while k < m:
-        if stop_early:
-            smallest = sfx_nodes[k]
-            if pool_free < smallest:
-                break
-            hi = _bisect_left_f64_nb(times, n, now + sfx_wall[k])
-            if hi < 1:
-                hi = 1
-            low = free[0]
-            for i in range(1, hi):
-                if free[i] < low:
-                    low = free[i]
-            if low < smallest:
-                break
-        nodes = nodes_req[k]
-        dur = wall[k]
-        idx_k = k
-        k += 1
-        if nodes > capacity:
-            continue
-        has_fit = False
-        start = 0.0
-        if monotone:
-            lo = _bisect_left_i64_nb(free, n, nodes)
-            if lo < n:
-                has_fit = True
-                start = times[0] if lo == 0 else times[lo]
-        else:
-            idx = _earliest_fit_nb(times[:n], free[:n], nodes, dur)
-            if idx >= 0:
-                has_fit = True
-                start = times[idx]
-        if not has_fit:
-            if free[n - 1] >= nodes:
-                start = times[n - 1]
-            else:
-                continue
-        if start <= now and nodes <= pool_free:
-            starts_out[n_starts] = idx_k
-            n_starts += 1
-            pool_free -= nodes
-            s = now
-        else:
-            s = start if start > now else now
-            if s < minf:
-                minf = s
-        e = s + dur
-        if e > s:
-            lo_i = _bisect_left_f64_nb(times, n, s)
-            if not (lo_i < n and times[lo_i] == s):
-                _insert_point_nb(times, free, n, lo_i, s)
-                n += 1
-            hi_i = _bisect_left_f64_nb(times, n, e)
-            if not (hi_i < n and times[hi_i] == e):
-                _insert_point_nb(times, free, n, hi_i, e)
-                n += 1
-            for i in range(lo_i, hi_i):
-                free[i] -= nodes
-            monotone = False
-        resv_out[n_resv, 0] = s
-        resv_out[n_resv, 1] = e
-        resv_out[n_resv, 2] = nodes
-        n_resv += 1
-    return n, k, pool_free, minf, monotone, n_starts, n_resv
-
-
-def plan_conservative(
-    times: np.ndarray,
-    free: np.ndarray,
-    n: int,
-    nodes_req: np.ndarray,
-    wall: np.ndarray,
-    sfx_nodes: np.ndarray,
-    sfx_wall: np.ndarray,
-    k0: int,
-    now: float,
-    pool_free: int,
-    capacity: int,
-    monotone: bool,
-    stop_early: bool,
-    starts_out: np.ndarray,
-    resv_out: np.ndarray,
-) -> Tuple[int, int, int, float, bool, int, int]:
-    """Dispatching whole-pass planner; integer node counts make every
-    comparison exact, so all three paths are trivially identical."""
-    if HAVE_NUMBA:
-        n, planned, pool_free, minf, monotone, n_starts, n_resv = (
-            _plan_conservative_nb(
-                times, free, np.int64(n), nodes_req, wall, sfx_nodes,
-                sfx_wall, np.int64(k0), float(now), np.int64(pool_free),
-                np.int64(capacity), bool(monotone), bool(stop_early),
-                starts_out, resv_out,
-            )
-        )
-        return (
-            int(n), int(planned), int(pool_free), float(minf),
-            bool(monotone), int(n_starts), int(n_resv),
-        )
-    return plan_conservative_np(
-        times, free, n, nodes_req, wall, sfx_nodes, sfx_wall, k0, now,
-        pool_free, capacity, monotone, stop_early, starts_out, resv_out,
-    )

@@ -64,8 +64,8 @@ STATE_CODES: Dict[NodeState, int] = {
     NodeState.BUSY: 5,
 }
 
-# The kernel layer hard-codes the codes (numba cannot close over the
-# enum); fail loudly if the two tables ever drift.
+# The kernel layer hard-codes the codes (it does not import the node
+# state machine); fail loudly if the two tables ever drift.
 assert STATE_CODES[NodeState.OFF] == kernels._OFF
 assert STATE_CODES[NodeState.DOWN] == kernels._DOWN
 assert STATE_CODES[NodeState.BOOTING] == kernels._BOOTING
@@ -194,9 +194,8 @@ class VectorPowerMirror:
         self.bound_jobs = np.zeros(n, dtype=np.int32)
         #: Execution-slot id per row, -1 when no execution occupies the
         #: node.  The owning simulation maps slots to JobExecution
-        #: objects (``ClusterSimulation._exec_slots``), which replaces
-        #: its per-node ``_node_exec`` dict on this backend: membership
-        #: moves in one scatter per cohort instead of a Python loop.
+        #: objects (``ClusterSimulation._exec_slots``): membership moves
+        #: in one scatter per cohort instead of a Python loop.
         self.exec_slot = np.full(n, -1, dtype=np.int32)
         self.node_id = np.fromiter(
             (node.node_id for node in self._nodes), dtype=np.intp, count=n
@@ -256,10 +255,10 @@ class VectorPowerMirror:
         self.power_cap[row] = np.inf if cap is None else cap
         idle_since = node.idle_since
         self.idle_since[row] = np.nan if idle_since is None else idle_since
-        # Execution membership lives in exec_slot on this backend (the
-        # simulation no longer stamps ``running_job`` per node); rows
-        # touched outside a simulation (bare mirror tests, node.assign)
-        # still derive their binding from the scalar field.
+        # Execution membership lives in exec_slot (the simulation does
+        # not stamp ``running_job`` per node); rows touched outside a
+        # simulation (bare mirror tests, node.assign) still derive
+        # their binding from the node field.
         self.bound_jobs[row] = (
             1
             if self.exec_slot[row] >= 0 or node.running_job is not None
@@ -335,12 +334,9 @@ class VectorPowerMirror:
         for old, cnt in zip(old_codes.tolist(), old_counts.tolist()):
             counts[old] -= cnt
         counts[code] += int(rows.size)
-        idle_ts = time if code == _IDLE else np.nan
-        bound = 1 if code == _BUSY else 0
-        kernels.apply_transition(
-            self.state_code, self.idle_since, self.bound_jobs,
-            rows, code, idle_ts, bound,
-        )
+        self.state_code[rows] = code
+        self.idle_since[rows] = time if code == _IDLE else np.nan
+        self.bound_jobs[rows] = 1 if code == _BUSY else 0
         self._dirty.update(rows.tolist())
 
     def refresh_all(self) -> None:
@@ -436,11 +432,10 @@ class VectorPowerMirror:
         return OperatingPoints(watts, ratio, speed, violated)
 
     def _watts_kernel(self, sel) -> np.ndarray:
-        """Watts for the selected rows via the kernel layer (JIT when
-        numba is available, else a numpy expression bit-identical to
-        ``operating_points(sel).watts``)."""
+        """Watts for the selected rows via the kernel layer (a numpy
+        expression bit-identical to ``operating_points(sel).watts``)."""
         model = self.model
-        return kernels.node_watts(
+        return kernels.node_watts_np(
             self.state_code[sel],
             self.idle_power[sel],
             self.max_power[sel],
@@ -462,7 +457,7 @@ class VectorPowerMirror:
         O(1) when clean; one kernel over the dirty rows otherwise; a
         full vectorized re-sum when at least half the rows are dirty.
         Totals are reduced with ``np.sum`` on the caller side of the
-        kernel, so the JIT and numpy paths share one summation order.
+        kernel, so the summation order is fixed here.
         """
         n = len(self._watts)
         dirty = self._dirty

@@ -6,14 +6,14 @@ Contract
 :class:`~repro.state.serialize.SimState`: a plain-data tree holding the
 engine clock/heap/sequence counters, every rng stream position, all
 mutable node fields, job life-cycle state, running executions, queue
-contents, power-accounting caches (both backends, captured bit-exactly
+contents, the power mirror's accounting caches (captured bit-exactly
 — a restored run must NOT re-sum, because a full re-sum can differ
 from the incremental accumulator in the last ulp), meter and trace
 buffers, and scheduler/policy attributes.
 
 ``restore(state, factory)`` takes a *factory* — a zero-argument
 callable rebuilding a structurally identical fresh simulation (same
-machine spec, scheduler, policies, workload, seed, backend; the
+machine spec, scheduler, policies, workload, seed; the
 executor passes its variant builder) — then wipes the fresh heap and
 grafts the captured dynamic state onto it.  A config digest recorded
 at snapshot time guards against restoring onto a different recipe.
@@ -68,12 +68,6 @@ _FAIL = object()
 # Config signature
 # ----------------------------------------------------------------------
 def _config_signature(sim_obj) -> Dict[str, Any]:
-    # ``bulk_ops`` is deliberately NOT part of the signature: the bulk
-    # cohort engine is bit-identical to the scalar per-node spec (same
-    # decisions, same float accumulation order, same mirror dirty-set
-    # contents — the bulk teardown path even marks non-BUSY execution
-    # nodes dirty to match the scalar loop), so checkpoints taken under
-    # either mode restore interchangeably into the other.
     machine = sim_obj.machine
     node_statics = [
         (n.node_id, n.cores, n.memory_gb, n.idle_power, n.max_power,
@@ -87,7 +81,9 @@ def _config_signature(sim_obj) -> Dict[str, Any]:
         "scheduler": type(sim_obj.scheduler).__qualname__,
         "policies": [type(p).__qualname__ for p in sim_obj.policies],
         "seed": sim_obj.rng.seed,
-        "backend": "vector" if sim_obj.power_vector is not None else "scalar",
+        # The vector mirror is the only power backend; the tag stays
+        # so every signature digest (and every fingerprint) is unchanged.
+        "backend": "vector",
         "components": sorted(
             (key, type(obj).__qualname__)
             for key, obj in getattr(sim_obj, "components", {}).items()
@@ -405,25 +401,15 @@ def snapshot(sim_obj, extra_roots: Dict[str, Any] = None) -> SimState:
     ]
 
     mirror = sim_obj.power_vector
-    if mirror is not None:
-        power = {
-            "backend": "vector",
-            "watts": mirror._watts.copy(),
-            "total": mirror._total,
-            "dirty": sorted(int(r) for r in mirror._dirty),
-            "all_dirty": mirror._all_dirty,
-            "utilization": mirror.utilization.copy(),
-            "sensitivity": mirror.sensitivity.copy(),
-        }
-    else:
-        power = {
-            "backend": "scalar",
-            "node_watts": {int(k): float(v)
-                           for k, v in sim_obj._node_watts.items()},
-            "total": sim_obj._power_total,
-            "dirty": sorted(int(n) for n in sim_obj._power_dirty),
-            "all_dirty": sim_obj._power_all_dirty,
-        }
+    power = {
+        "backend": "vector",
+        "watts": mirror._watts.copy(),
+        "total": mirror._total,
+        "dirty": sorted(int(r) for r in mirror._dirty),
+        "all_dirty": mirror._all_dirty,
+        "utilization": mirror.utilization.copy(),
+        "sensitivity": mirror.sensitivity.copy(),
+    }
 
     meter = sim_obj.meter
     trace = sim_obj.trace
@@ -610,44 +596,33 @@ def restore(state: SimState, factory: Callable[[], Any],
 
     # --- power accounting (bit-exact: no re-sum) ---------------------
     power = data["power"]
-    backend = "vector" if sim_obj.power_vector is not None else "scalar"
-    if power["backend"] != backend:
+    if power["backend"] != "vector":
         raise StateError(
-            f"checkpoint power backend {power['backend']!r} != factory "
-            f"backend {backend!r}"
+            f"checkpoint power backend {power['backend']!r} is not "
+            f"supported (only 'vector')"
         )
-    if backend == "vector":
-        mirror = sim_obj.power_vector
-        mirror.refresh_all()  # re-read restored node fields into the SoA
-        mirror.utilization[:] = power["utilization"]
-        mirror.sensitivity[:] = power["sensitivity"]
-        mirror._watts[:] = power["watts"]
-        mirror._total = power["total"]
-        mirror._dirty = set(int(r) for r in power["dirty"])
-        mirror._all_dirty = power["all_dirty"]
-    else:
-        sim_obj._node_watts = {int(k): float(v)
-                               for k, v in power["node_watts"].items()}
-        sim_obj._power_total = power["total"]
-        sim_obj._power_dirty = set(int(n) for n in power["dirty"])
-        sim_obj._power_all_dirty = power["all_dirty"]
+    mirror = sim_obj.power_vector
+    mirror.refresh_all()  # re-read restored node fields into the SoA
+    mirror.utilization[:] = power["utilization"]
+    mirror.sensitivity[:] = power["sensitivity"]
+    mirror._watts[:] = power["watts"]
+    mirror._total = power["total"]
+    mirror._dirty = set(int(r) for r in power["dirty"])
+    mirror._all_dirty = power["all_dirty"]
 
     # --- executions --------------------------------------------------
     from ..core.simulation import JobExecution  # local: avoid cycle at import
 
     sim_obj._executions = {}
-    sim_obj._node_exec = {}
     sim_obj._exec_slots = []
     sim_obj._free_slots = []
-    mirror = sim_obj.power_vector
-    if mirror is not None:
-        # SoA membership is rebuilt from the executions, not captured:
-        # slot numbers are pure identities (nothing orders on them), so
-        # renumbering on restore cannot perturb replay.  Direct array
-        # scatter — not bind_execution — keeps the bit-exact dirty set
-        # restored above untouched.
-        mirror.exec_slot.fill(-1)
-        mirror.bound_jobs.fill(0)
+    # SoA membership is rebuilt from the executions, not captured: slot
+    # numbers are pure identities (nothing orders on them), so
+    # renumbering on restore cannot perturb replay.  Direct array
+    # scatter — not bind_execution — keeps the bit-exact dirty set
+    # restored above untouched.
+    mirror.exec_slot.fill(-1)
+    mirror.bound_jobs.fill(0)
     for entry in data["executions"]:
         job = job_by_id[entry["job_id"]]
         exec_nodes = [sim_obj.machine.node(nid) for nid in entry["node_ids"]]
@@ -659,14 +634,10 @@ def restore(state: SimState, factory: Callable[[], Any],
         execution.cap_violated = entry["cap_violated"]
         execution.placement_penalty = entry["placement_penalty"]
         sim_obj._executions[job.job_id] = execution
-        if mirror is not None:
-            execution.rows = mirror.rows_for(entry["node_ids"])
-            slot = sim_obj._alloc_slot(execution)
-            mirror.exec_slot[execution.rows] = slot
-            mirror.bound_jobs[execution.rows] = 1
-        else:
-            for node in exec_nodes:
-                sim_obj._node_exec[node.node_id] = execution
+        execution.rows = mirror.rows_for(entry["node_ids"])
+        slot = sim_obj._alloc_slot(execution)
+        mirror.exec_slot[execution.rows] = slot
+        mirror.bound_jobs[execution.rows] = 1
 
     # --- meter -------------------------------------------------------
     meter = sim_obj.meter

@@ -32,8 +32,7 @@ from .serialize import SimState, state_digest
 def light_fingerprint(sim_obj) -> str:
     """Cheap, non-perturbing digest of the fast-changing state."""
     engine = sim_obj.sim
-    mirror = sim_obj.power_vector
-    power_total = mirror._total if mirror is not None else sim_obj._power_total
+    power_total = sim_obj.power_vector._total
     parts = [
         repr(engine.now), str(engine._seq), str(engine.events_fired),
         str(engine.pending), str(sim_obj._started_count),

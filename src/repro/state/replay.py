@@ -5,8 +5,8 @@ A :class:`RunRecorder` hooks the engine's observer to record a
 perturbing it (the fingerprint probe reads state but never flushes
 caches).  :func:`replay_from` restores a checkpoint, re-runs it with
 the same recorder, and reports the first diverging event — turning
-"the restored run is bit-identical" and "backend A matches backend B"
-into generic, debuggable checks.
+"the restored run is bit-identical" and "the batched loop matches the
+stepped loop" into generic, debuggable checks.
 
 :func:`lockstep_divergence` drives two simulations event-by-event in
 lockstep and, at the first fingerprint mismatch, snapshots both sides
@@ -140,10 +140,6 @@ def lockstep_divergence(
 ) -> Optional[DivergenceReport]:
     """Step two prepared-or-fresh simulations in lockstep; at the first
     differing fingerprint, snapshot both and report the state diff.
-
-    The probe must be backend-agnostic for cross-backend comparisons
-    (the default is: both backends produce bit-identical physics, which
-    the power-vector equivalence tests pin).
     """
     sim_a.prepare()
     sim_b.prepare()

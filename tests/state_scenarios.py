@@ -39,8 +39,7 @@ def make_jobs(count: int = 12, spread: float = 50.0):
     ]
 
 
-def build_small(seed: int = 7, backend: str = "vector",
-                scheduler: str = "fcfs") -> ClusterSimulation:
+def build_small(seed: int = 7, scheduler: str = "fcfs") -> ClusterSimulation:
     """16 nodes, 12 jobs, no policies."""
     machine = Machine(MachineSpec(name="tiny", nodes=16, nodes_per_cabinet=4))
     return ClusterSimulation(
@@ -48,11 +47,10 @@ def build_small(seed: int = 7, backend: str = "vector",
         _SCHEDULERS[scheduler](),
         make_jobs(),
         seed=seed,
-        power_backend=backend,
     )
 
 
-def build_rich(seed: int = 11, backend: str = "vector") -> ClusterSimulation:
+def build_rich(seed: int = 11) -> ClusterSimulation:
     """Backfill + power caps + idle shutdown on a 24-node machine.
 
     The aggressive idle-shutdown policy keeps nodes cycling through
@@ -80,13 +78,12 @@ def build_rich(seed: int = 11, backend: str = "vector") -> ClusterSimulation:
                                check_interval=60.0),
         ],
         seed=seed,
-        power_backend=backend,
     )
 
 
-def rich_factory(seed: int = 11, backend: str = "vector"):
+def rich_factory(seed: int = 11):
     """A zero-argument factory closing over the scenario parameters."""
-    return functools.partial(build_rich, seed=seed, backend=backend)
+    return functools.partial(build_rich, seed=seed)
 
 
 def step_until(sim_obj: ClusterSimulation, cut: float) -> ClusterSimulation:

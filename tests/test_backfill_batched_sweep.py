@@ -3,7 +3,7 @@ passes (PR 9).
 
 The whole-queue-slice rewrites in :mod:`repro.core.backfill` — the
 EASY cumulative-sum screen and the conservative
-:func:`repro.power.kernels.plan_conservative` pass with its cross-pass
+:func:`repro.power.kernels.plan_conservative_np` pass with its cross-pass
 profile cache — must be decision-for-decision identical to the seed
 schedulers in :mod:`repro.core.reference_backfill`.  Hypothesis drives
 randomized deep queues (hundreds of pending jobs, mixed moldable and
@@ -277,25 +277,3 @@ class TestPlanConservativeTwins:
         inp = _plan_inputs(seed, stop_early=stop_early)
         assert _run_plan(kernels.plan_conservative_np, inp) == \
             _run_plan(kernels.plan_conservative_py, inp)
-
-    @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-    @pytest.mark.parametrize("seed", range(5))
-    def test_nb_matches_np(self, seed):
-        inp = _plan_inputs(seed)
-        nb = {k: (v.copy() if isinstance(v, np.ndarray) else v)
-              for k, v in inp.items()}
-        got_np = _run_plan(kernels.plan_conservative_np, inp)
-        out = kernels._plan_conservative_nb(
-            nb["times"], nb["free"], nb["n"], nb["nodes_req"], nb["wall"],
-            nb["sfx_nodes"], nb["sfx_wall"], nb["k0"], nb["now"],
-            nb["pool_free"], nb["capacity"], nb["monotone"], nb["stop_early"],
-            nb["starts_out"], nb["resv_out"],
-        )
-        n, planned, pool_free, minf, monotone, n_starts, n_resv = out
-        got_nb = (
-            int(planned), int(pool_free), float(minf), bool(monotone),
-            nb["times"][:n].tolist(), nb["free"][:n].tolist(),
-            nb["starts_out"][:n_starts].tolist(),
-            nb["resv_out"][:n_resv].tolist(),
-        )
-        assert got_nb == got_np

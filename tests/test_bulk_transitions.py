@@ -1,16 +1,16 @@
-"""Bulk node transitions: unit contract + randomized equivalence.
+"""Bulk node transitions: unit contract + pinned end-to-end results.
 
-``Machine.transition_bulk`` and the vectorized allocator selection
-must be *decision-identical* to the scalar per-node paths — same
-nodes, same order, same floats, same snapshots.  The scalar state
-machine stays the executable spec; these tests pin the batched engine
-against it the same way PRs 2–5 pinned the vector power mirror and
-batched dispatch.
+``Machine.transition_bulk`` must be *decision-identical* to a loop of
+per-node ``Node.transition`` calls — same nodes, same order, same
+listener effects.  The scalar state machine stays the executable spec
+for that unit contract.  End to end, the simulation's cohort engine is
+pinned to literal result and snapshot fingerprints; each pinned value
+was recorded while the engine still carried a per-node lifecycle path
+and was asserted equal to it, so a drift here means the bulk engine no
+longer matches that spec.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 import pytest
@@ -174,11 +174,34 @@ class TestTransitionRows:
 
 
 # ----------------------------------------------------------------------
-# End-to-end equivalence: bulk engine vs scalar spec
+# End-to-end: the cohort engine against pinned spec fingerprints
 # ----------------------------------------------------------------------
+#: ``result_fingerprint`` of each scheduler x allocator churn run.
+PINNED_RESULTS = {
+    ("easy", "first-fit"):
+        "40e3e7c225abf7a3ea4c7d468844ff2319d7aa25f2e7f54cc13444005ebd4f28",
+    ("easy", "low-power"):
+        "9677ae4ef3d98a402d9921a88e4a02db9b7d3ec46131f49016958828cc24397c",
+    ("conservative", "first-fit"):
+        "2002eb9c80a38b46ba3813985028a4b6c40f54205efa6f5c2ae7c09fe0db0b91",
+    ("conservative", "low-power"):
+        "52c3c3409dc48903146fb50bcafe9a086c6771f23344bbb494638be74f4ab6a4",
+}
+#: ``sim_fingerprint`` of the default churn run at each mid-run cut.
+PINNED_CUTS = {
+    3600.0: "6e99f129057dc39d1347cb033ebdd3d3253ba6f663a3be67520a7426e6066225",
+    10800.0: "58f4b55d191762f3839d53384587629d1403526e61acc21dab90828f80d07bbd",
+    21600.0: "590dfc189e139e2a8fdd9e3b586a0dd16ccb2cf9b8a74b8ea908422895471530",
+}
+PINNED_SNAPSHOT_7200 = (
+    "5e3d6e48c10cffa0dda6deb439752934332054a6ade46e1d63e83a7d30296003"
+)
+PINNED_PROVISIONING = (
+    "d7ec276a57b9a89b80c674ad0d445acf854ab41b237801557f7a86b00e6fe130"
+)
+
+
 def churn_sim(
-    bulk_ops: bool,
-    backend: str = "vector",
     scheduler: str = "easy",
     allocator: str = "low-power",
     seed: int = 13,
@@ -222,8 +245,6 @@ def churn_sim(
             ),
         ],
         seed=seed,
-        power_backend=backend,
-        bulk_ops=bulk_ops,
     )
 
 
@@ -231,65 +252,63 @@ class TestEndToEndEquivalence:
     @pytest.mark.parametrize("scheduler", ["easy", "conservative"])
     @pytest.mark.parametrize("allocator", ["first-fit", "low-power"])
     def test_results_identical(self, scheduler, allocator):
-        ref = result_fingerprint(
-            churn_sim(False, scheduler=scheduler, allocator=allocator).run()
-        )
         got = result_fingerprint(
-            churn_sim(True, scheduler=scheduler, allocator=allocator).run()
+            churn_sim(scheduler=scheduler, allocator=allocator).run()
         )
-        assert got == ref
+        assert got == PINNED_RESULTS[scheduler, allocator]
 
-    @pytest.mark.parametrize("backend", ["vector", "scalar"])
+    # The vector mirror is the only power backend; its folded total
+    # must agree with the per-node spec after every bulk event.
+    @pytest.mark.parametrize("backend", ["vector"])
     def test_backends_agree_under_bulk(self, backend):
-        ref = result_fingerprint(churn_sim(False, backend=backend).run())
-        got = result_fingerprint(churn_sim(True, backend=backend).run())
-        assert got == ref
+        bulk = churn_sim()
+        assert bulk.power_vector is not None, backend
+        bulk.prepare()
+        checked = 0
+        while not bulk.all_jobs_terminal and bulk.sim.step():
+            spec = sum(
+                bulk._node_operating_point(n).watts for n in bulk.machine.nodes
+            )
+            assert bulk.machine_power() == pytest.approx(spec, rel=1e-9), (
+                bulk.sim.now
+            )
+            checked += 1
+        assert checked > 0
+        assert bulk.rm.shutdowns_initiated > 0
 
     def test_midrun_state_fingerprints_match(self):
         # Listener-order-sensitive power cache state: the canonical
         # snapshot includes the mirror's per-row watts cache, cached
-        # total and dirty set, so any divergence in how bulk events
-        # fold into the cache shows up here, not just in end results.
-        cuts = (3600.0, 10800.0, 21600.0)
-        scalar = churn_sim(False)
-        bulk = churn_sim(True)
-        scalar.prepare()
+        # total and dirty set, so any drift in how bulk events fold
+        # into the cache shows up here, not just in end results.
+        bulk = churn_sim()
         bulk.prepare()
-        for cut in cuts:
-            step_until(scalar, cut)
+        for cut, expected in PINNED_CUTS.items():
             step_until(bulk, cut)
-            assert sim_fingerprint(bulk) == sim_fingerprint(scalar), cut
+            assert sim_fingerprint(bulk) == expected, cut
 
     def test_batched_run_matches(self):
-        ref = result_fingerprint(churn_sim(False).run())
-        got = result_fingerprint(churn_sim(True).run_batched())
-        assert got == ref
+        got = result_fingerprint(churn_sim().run_batched())
+        assert got == PINNED_RESULTS["easy", "low-power"]
 
     def test_provisioning_policy_equivalent(self):
-        def build(bulk_ops):
-            sim_obj = churn_sim(bulk_ops, seed=29)
-            sim_obj.add_policy(
-                DynamicProvisioningPolicy(
-                    cap_watts=12000.0, check_interval=240.0
-                )
-            )
-            return sim_obj
-
-        assert result_fingerprint(build(True).run()) == result_fingerprint(
-            build(False).run()
+        sim_obj = churn_sim(seed=29)
+        sim_obj.add_policy(
+            DynamicProvisioningPolicy(cap_watts=12000.0, check_interval=240.0)
         )
+        assert result_fingerprint(sim_obj.run()) == PINNED_PROVISIONING
 
 
 class TestSnapshotRoundTrip:
     def test_bulk_run_restores_bit_identical(self):
-        ref = result_fingerprint(churn_sim(True).run())
-        donor = step_until(churn_sim(True), 7200.0)
+        ref = result_fingerprint(churn_sim().run())
+        donor = step_until(churn_sim(), 7200.0)
         st = snapshot(donor)
-        restored = restore(st, functools.partial(churn_sim, True))
+        restored = restore(st, churn_sim)
         assert result_fingerprint(run_checkpointed(restored)) == ref
         assert result_fingerprint(run_checkpointed(donor)) == ref
 
     def test_bulk_snapshot_equals_scalar_snapshot(self):
-        scalar = step_until(churn_sim(False), 7200.0)
-        bulk = step_until(churn_sim(True), 7200.0)
-        assert sim_fingerprint(bulk) == sim_fingerprint(scalar)
+        # The pinned digest is the per-node spec's snapshot at the cut.
+        bulk = step_until(churn_sim(), 7200.0)
+        assert sim_fingerprint(bulk) == PINNED_SNAPSHOT_7200

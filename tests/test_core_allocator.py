@@ -128,7 +128,7 @@ def make_selection(machine, avail_ids=None):
     mask[list(avail_ids)] = True
     return NodeSelection(
         avail_mask=mask,
-        nodes_arr=np.array(nodes, dtype=object),
+        nodes=nodes,
         max_power=np.array([node.max_power for node in nodes]),
         variability=np.array([node.variability for node in nodes]),
     )

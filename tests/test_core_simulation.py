@@ -1,10 +1,15 @@
 """Integration tests for ClusterSimulation: execution semantics."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.centers import build_center_simulation
 from repro.cluster import Machine, MachineSpec, NodeState
 from repro.core import ClusterSimulation, EasyBackfillScheduler, FcfsScheduler
 from repro.policies.base import Policy
+from repro.units import HOUR
 from repro.workload import JobState
 from tests.conftest import make_job
 
@@ -294,3 +299,24 @@ class TestPolicyHooks:
         names = [c.name for c in sim.epa.components]
         assert "static-capping" in names
         assert "power-meter" in names
+
+
+class TestCollectable:
+    """A dropped simulation must be reclaimable by the cyclic GC.
+
+    Every node's ``power_listener`` is a bound method of its simulation,
+    so simulation and machine form a reference cycle.  That is fine as
+    long as every link is visible to the collector; a node held in a
+    numpy object array is not, and would pin the whole simulation (and
+    its machine, mirror and event heap) for the life of the process.
+    """
+
+    @pytest.mark.parametrize("slug", ["kaust", "riken"])
+    def test_center_simulation_is_collected(self, slug):
+        build = build_center_simulation(slug, seed=3, duration=2 * HOUR,
+                                        nodes=32)
+        build.simulation.run(until=HOUR)
+        ref = weakref.ref(build.simulation)
+        del build
+        gc.collect()
+        assert ref() is None

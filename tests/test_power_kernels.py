@@ -1,25 +1,22 @@
-"""Kernel layer equivalence: numpy references vs mirror vs JIT twins.
+"""Kernel layer equivalence: numpy kernels vs the engine code they
+were extracted from.
 
-Each kernel in :mod:`repro.power.kernels` ships three faces — the
-``*_np`` reference, the ``@njit`` twin and a dispatcher.  These tests
-pin the reference against the engine code it was extracted from
-(``operating_points``, the profile's deque scan) and, where numba is
-installed, the JIT twin bit-for-bit against the reference.
+These tests pin each kernel in :mod:`repro.power.kernels` against the
+engine code it was extracted from (``operating_points``, the profile's
+deque scan) and the mirror's bulk transition scatter against its
+documented contract.
 """
 
 from __future__ import annotations
 
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from repro.cluster import Machine, MachineSpec
+from repro.cluster import Machine, MachineSpec, NodeState
 from repro.core.profile import FreeNodeProfile
 from repro.power import kernels
 from repro.power.model import NodePowerModel
-from repro.power.vector import VectorPowerMirror
+from repro.power.vector import STATE_CODES, VectorPowerMirror
 
 
 def random_mirror(seed: int, n: int = 96) -> VectorPowerMirror:
@@ -114,112 +111,26 @@ class TestEarliestFit:
             got = None if idx < 0 else profile.times[idx]
             assert got == ref, (needed, duration)
 
-    def test_dispatcher_accepts_lists(self):
-        times = [0.0, 10.0, 20.0, 30.0]
-        free = [4, 1, 6, 6]
-        assert kernels.earliest_fit_index(times, free, 5, 15.0) == 2
-        assert kernels.earliest_fit_index(times, free, 9, 1.0) == -1
 
 
 class TestApplyTransition:
     def test_scatters_in_place(self):
-        state = np.zeros(8, dtype=np.int8)
-        idle_since = np.full(8, np.nan)
-        bound = np.zeros(8, dtype=np.int32)
+        machine = Machine(MachineSpec(name="t", nodes=8, nodes_per_cabinet=4))
+        mirror = VectorPowerMirror(machine, NodePowerModel())
+        state, idle_since, bound = (
+            mirror.state_code, mirror.idle_since, mirror.bound_jobs
+        )
+        busy, idle = STATE_CODES[NodeState.BUSY], STATE_CODES[NodeState.IDLE]
         rows = np.array([1, 4, 6], dtype=np.intp)
-        kernels.apply_transition_np(
-            state, idle_since, bound, rows, kernels._BUSY, np.nan, 1
-        )
-        assert list(state) == [0, 5, 0, 0, 5, 0, 5, 0]
-        assert list(bound) == [0, 1, 0, 0, 1, 0, 1, 0]
-        assert np.isnan(idle_since).all()
-        kernels.apply_transition_np(
-            state, idle_since, bound, rows, kernels._IDLE, 42.0, 0
-        )
-        assert list(state[rows]) == [4, 4, 4]
-        assert list(idle_since[rows]) == [42.0, 42.0, 42.0]
+        mirror.transition_rows(rows, busy, 10.0)
+        assert mirror.state_code is state  # scattered, not reallocated
+        assert state.tolist() == [idle, busy, idle, idle, busy, idle, busy, idle]
+        assert bound.tolist() == [0, 1, 0, 0, 1, 0, 1, 0]
+        assert np.isnan(idle_since[rows]).all()
+        assert mirror.lifecycle_view(10.0).count_in_state(busy) == 3
+        mirror.transition_rows(rows, idle, 42.0)
+        assert state[rows].tolist() == [idle] * 3
+        assert idle_since[rows].tolist() == [42.0, 42.0, 42.0]
         assert bound.sum() == 0
+        assert mirror.lifecycle_view(42.0).count_in_state(busy) == 0
 
-
-class TestGating:
-    def test_env_override_disables_numba(self):
-        # In a fresh interpreter REPRO_NO_NUMBA must force the numpy
-        # fallback whether or not numba is installed.
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.power import kernels; print(kernels.HAVE_NUMBA)",
-            ],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": "src", "REPRO_NO_NUMBA": "1"},
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
-
-
-needs_numba = pytest.mark.skipif(
-    not kernels.HAVE_NUMBA, reason="numba not installed"
-)
-
-
-@needs_numba
-class TestNumbaBitIdentity:  # pragma: no cover - needs numba
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_node_watts(self, seed):
-        mirror = random_mirror(seed)
-        model = mirror.model
-        cols = (
-            mirror.state_code,
-            mirror.idle_power,
-            mirror.max_power,
-            mirror.off_power,
-            mirror.variability,
-            mirror.frequency,
-            mirror.min_frequency,
-            mirror.max_frequency,
-            mirror.power_cap,
-            mirror.utilization,
-            model.alpha,
-            model.boot_power_fraction,
-            model.shutdown_power_fraction,
-        )
-        nb = kernels._node_watts_nb(*cols)
-        ref = kernels.node_watts_np(*cols)
-        np.testing.assert_array_equal(nb, ref)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_earliest_fit(self, seed):
-        rng = np.random.default_rng(seed)
-        profile = TestEarliestFit.random_profile(rng)
-        times = np.asarray(profile.times, dtype=np.float64)
-        free = np.asarray(profile.free, dtype=np.int64)
-        for _ in range(25):
-            needed = int(rng.integers(1, 12))
-            duration = float(rng.uniform(0.0, 600.0))
-            assert int(
-                kernels._earliest_fit_nb(times, free, needed, duration)
-            ) == kernels.earliest_fit_index_py(
-                profile.times, profile.free, needed, duration
-            )
-
-    def test_apply_transition(self):
-        rng = np.random.default_rng(3)
-        state_a = rng.integers(0, 6, size=32).astype(np.int8)
-        state_b = state_a.copy()
-        idle_a = rng.uniform(0, 100, size=32)
-        idle_b = idle_a.copy()
-        bound_a = rng.integers(0, 2, size=32).astype(np.int32)
-        bound_b = bound_a.copy()
-        rows = np.flatnonzero(rng.random(32) < 0.4).astype(np.intp)
-        kernels._apply_transition_nb(
-            state_a, idle_a, bound_a, rows,
-            np.int8(kernels._IDLE), 7.0, np.int32(0),
-        )
-        kernels.apply_transition_np(
-            state_b, idle_b, bound_b, rows, kernels._IDLE, 7.0, 0
-        )
-        np.testing.assert_array_equal(state_a, state_b)
-        np.testing.assert_array_equal(idle_a, idle_b)
-        np.testing.assert_array_equal(bound_a, bound_b)

@@ -1,4 +1,4 @@
-"""Scalar-vs-vectorized power equivalence.
+"""Per-node spec vs vectorized power mirror.
 
 ``NodePowerModel.operating_point`` is the executable spec;
 ``VectorPowerMirror`` re-implements it as array kernels.  The sweeps
@@ -6,8 +6,9 @@ here randomize node state (all six states), caps — including caps
 below idle power, which the scalar model flags as violations —
 DVFS settings, manufacturing variability and job intensities, and
 assert the kernel matches the spec field for field to 1e-9.  The
-end-to-end test runs the same seeded workload under both
-``power_backend`` settings and compares the physics outputs.
+end-to-end tests check, event by event through whole runs, that the
+simulation's incrementally folded ``machine_power()`` equals the
+spec summed over every node with its bound job's intensity.
 """
 
 from __future__ import annotations
@@ -21,13 +22,15 @@ from hypothesis import strategies as st
 
 from repro.cluster import Machine, MachineSpec, Node, NodeState
 from repro.core import ClusterSimulation, EasyBackfillScheduler, FcfsScheduler
-from repro.errors import ConfigurationError
 from repro.policies.dvfs_budget import DvfsBudgetPolicy
 from repro.power import NodePowerModel, VectorPowerMirror
 from repro.simulator import RngStreams
+from repro.state import result_fingerprint
 from repro.units import HOUR
 from repro.workload import WorkloadGenerator, WorkloadSpec
 from tests.conftest import make_job
+
+from .state_scenarios import build_rich
 
 ALL_STATES = list(NodeState)
 
@@ -177,6 +180,8 @@ class TestKernelEquivalence:
 
 
 def full_scalar_sum(csim: ClusterSimulation) -> float:
+    """``NodePowerModel.operating_point`` summed over every node, each
+    with its bound job's intensity/sensitivity."""
     return sum(
         csim._node_operating_point(n).watts for n in csim.machine.nodes
     )
@@ -192,11 +197,6 @@ class TestMirrorAccounting:
         csim.rm.set_frequency(machine.nodes[3:9], machine.nodes[0].min_frequency)
         csim.rm.shutdown_nodes(machine.nodes[20:])
         assert csim.machine_power() == pytest.approx(full_scalar_sum(csim))
-
-    def test_invalid_backend_rejected(self):
-        machine = Machine(MachineSpec(name="m", nodes=2))
-        with pytest.raises(ConfigurationError):
-            ClusterSimulation(machine, FcfsScheduler(), [], power_backend="simd")
 
     def test_node_watts_matches_reference_loop(self):
         machine = Machine(MachineSpec(name="m", nodes=12, nodes_per_cabinet=4))
@@ -230,41 +230,58 @@ def seeded_workload(count: int = 60):
     return WorkloadGenerator(spec, RngStreams(7).stream("wl")).generate(count=count)
 
 
+def dvfs_sim(scheduler_cls) -> ClusterSimulation:
+    machine = Machine(MachineSpec(name="m", nodes=24, nodes_per_cabinet=8))
+    return ClusterSimulation(
+        machine,
+        scheduler_cls(),
+        seeded_workload(),
+        policies=[DvfsBudgetPolicy(budget_watts=24 * 320.0)],
+        seed=3,
+    )
+
+
+def assert_power_matches_spec_throughout(csim: ClusterSimulation) -> int:
+    """Step *csim* to completion, checking after every event that the
+    folded ``machine_power()`` equals the per-node spec sum.  Returns
+    the number of events checked."""
+    csim.prepare()
+    checked = 0
+    while not csim.all_jobs_terminal and csim.sim.step():
+        assert csim.machine_power() == pytest.approx(
+            full_scalar_sum(csim), rel=1e-9
+        ), csim.sim.now
+        checked += 1
+    return checked
+
+
 class TestEndToEndEquivalence:
-    """The simulation produces the same physics under either backend."""
+    """The mirror reproduces the per-node spec over whole runs."""
+
+    #: ``result_fingerprint`` of each seeded DVFS-budget run.
+    PINNED = {
+        FcfsScheduler:
+            "ff868ebba55241dd873b47226a8cbef9ccb1ea4ae0d74fa08f993560bb1617fe",
+        EasyBackfillScheduler:
+            "3948e4ac4f6552b9f53c035323fd8cbe7a5c6ed20e47f01cf7131011651c9857",
+    }
 
     @pytest.mark.parametrize("scheduler_cls", [FcfsScheduler, EasyBackfillScheduler])
-    def test_backends_agree_on_seeded_workload(self, scheduler_cls):
-        results = {}
-        for backend in ("scalar", "vector"):
-            machine = Machine(
-                MachineSpec(name="m", nodes=24, nodes_per_cabinet=8)
-            )
-            csim = ClusterSimulation(
-                machine,
-                scheduler_cls(),
-                seeded_workload(),
-                policies=[DvfsBudgetPolicy(budget_watts=24 * 320.0)],
-                power_backend=backend,
-                seed=3,
-            )
-            results[backend] = csim.run()
-        scalar, vector = results["scalar"], results["vector"]
-        for js, jv in zip(scalar.jobs, vector.jobs):
-            assert js.job_id == jv.job_id
-            assert js.state is jv.state
-            assert js.start_time == pytest.approx(jv.start_time, rel=1e-9)
-            assert js.end_time == pytest.approx(jv.end_time, rel=1e-9)
-            assert js.energy_joules == pytest.approx(jv.energy_joules, rel=1e-9)
-        assert scalar.meter.energy_joules == pytest.approx(
-            vector.meter.energy_joules, rel=1e-9
-        )
-        assert scalar.meter.peak_watts() == pytest.approx(
-            vector.meter.peak_watts(), rel=1e-9
-        )
-        assert scalar.metrics.makespan == pytest.approx(
-            vector.metrics.makespan, rel=1e-9
-        )
+    def test_seeded_workload_result_pinned(self, scheduler_cls):
+        result = dvfs_sim(scheduler_cls).run()
+        assert result_fingerprint(result) == self.PINNED[scheduler_cls]
+
+    @pytest.mark.parametrize("scheduler_cls", [FcfsScheduler, EasyBackfillScheduler])
+    def test_machine_power_matches_spec_on_seeded_workload(self, scheduler_cls):
+        assert assert_power_matches_spec_throughout(dvfs_sim(scheduler_cls)) > 0
+
+    def test_machine_power_matches_spec_on_rich_scenario(self):
+        # Per-node caps, idle shutdown cycling nodes through
+        # OFF/BOOTING/SHUTTING_DOWN, and backfill: the lifecycle paths
+        # that dirty the mirror.
+        csim = build_rich()
+        assert assert_power_matches_spec_throughout(csim) > 0
+        assert csim.rm.shutdowns_initiated > 0
 
 
 class TestLifecycleArrays:
@@ -364,9 +381,3 @@ class TestLifecycleArrays:
         assert view.now == csim.sim.now
         assert view.count_in_state(STATE_CODES[NS.OFF]) == 3
         assert view.count_in_state(STATE_CODES[NS.IDLE]) == 13
-
-    def test_scalar_backend_has_no_view(self):
-        machine = Machine(MachineSpec(name="m", nodes=4))
-        csim = ClusterSimulation(machine, FcfsScheduler(), [],
-                                 power_backend="scalar")
-        assert csim.lifecycle_view() is None

@@ -1,15 +1,15 @@
 """Equivalence sweeps for the array-backed free-node profile and the
 SoA execution-membership arrays.
 
-The array :class:`repro.core.profile.FreeNodeProfile` (numpy backing,
-optional numba kernels) must be decision-for-decision identical to the
+The array :class:`repro.core.profile.FreeNodeProfile` (numpy backing
+and kernels) must be decision-for-decision identical to the
 list-based :class:`repro.core.reference_profile.ReferenceFreeNodeProfile`
 — the PR-2 implementation preserved verbatim as an executable spec.
 Hypothesis drives randomized release/reserve/query sequences through
 both and compares every observable: step points, free counts, query
 answers, raised errors.
 
-The second half pins the vector backend's SoA execution membership
+The second half pins the SoA execution membership
 (``exec_slot`` rows + slot table) across snapshot/restore taken
 mid-run, with executions in flight.
 """
@@ -145,7 +145,7 @@ class TestProfileEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Kernel twins: numpy vs pure-python vs (optional) numba
+# Kernel twins: numpy vs pure-python
 # ----------------------------------------------------------------------
 def _random_step(rng):
     n = int(rng.integers(1, 40))
@@ -167,18 +167,6 @@ class TestEarliestFitKernelTwins:
                 times, free, needed, duration
             ) == kernels.earliest_fit_index_py(times, free, needed, duration)
 
-    @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-    @pytest.mark.parametrize("seed", range(6))
-    def test_nb_matches_np(self, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(25):
-            times, free = _random_step(rng)
-            needed = int(rng.integers(0, 40))
-            duration = float(rng.uniform(0.0, 5e3))
-            assert kernels._earliest_fit_nb(
-                times, free, needed, duration
-            ) == kernels.earliest_fit_index_np(times, free, needed, duration)
-
 
 class TestInsertPointKernelTwins:
     @pytest.mark.parametrize("seed", range(8))
@@ -199,22 +187,6 @@ class TestInsertPointKernelTwins:
             assert times.tolist() == lt
             assert free.tolist() == lf
 
-    @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-    def test_nb_matches_np(self):
-        rng = np.random.default_rng(7)
-        n = 20
-        base_t = np.sort(rng.uniform(0.0, 100.0, size=n))
-        base_f = rng.integers(0, 50, size=n).astype(np.int64)
-        for idx in range(1, n):
-            t = float(rng.uniform(base_t[idx - 1], base_t[idx]))
-            ta = np.concatenate([base_t, [0.0]])
-            fa = np.concatenate([base_f, [0]])
-            tb, fb = ta.copy(), fa.copy()
-            kernels.insert_point_np(ta, fa, n, idx, t)
-            kernels._insert_point_nb(tb, fb, n, idx, t)
-            assert ta.tolist() == tb.tolist()
-            assert fa.tolist() == fb.tolist()
-
 
 # ----------------------------------------------------------------------
 # SoA execution membership across snapshot/restore
@@ -233,7 +205,6 @@ def _build(seed):
     ]
     return ClusterSimulation(
         machine, EasyBackfillScheduler(), jobs, seed=seed,
-        power_backend="vector",
     )
 
 

@@ -57,7 +57,7 @@ class TestEngineProperties:
 
     @given(st.floats(min_value=0.1, max_value=1000.0),
            st.floats(min_value=1.0, max_value=10_000.0))
-    @settings(max_examples=50)
+    @settings(max_examples=50, deadline=None)
     def test_periodic_count(self, interval, horizon):
         sim = Simulator()
         count = [0]

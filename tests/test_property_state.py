@@ -6,7 +6,7 @@ Two layers:
   canonically;
 * snapshot -> restore is a fixed point, and a restored simulation
   finishes identically to the uninterrupted one for randomized
-  workloads, cut points and both power backends.
+  workloads, schedulers and cut points.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class TestSerializerProperties:
 _SCHEDULERS = {"fcfs": FcfsScheduler, "easy": EasyBackfillScheduler}
 
 
-def build_random(seed, backend, scheduler, shapes):
+def build_random(seed, scheduler, shapes):
     machine = Machine(MachineSpec(name="prop", nodes=8, nodes_per_cabinet=4))
     jobs = [
         Job(
@@ -105,7 +105,6 @@ def build_random(seed, backend, scheduler, shapes):
     ]
     return ClusterSimulation(
         machine, _SCHEDULERS[scheduler](), jobs, seed=seed,
-        power_backend=backend,
     )
 
 
@@ -124,7 +123,6 @@ job_shapes = st.lists(
 class TestSimulationRoundTripProperties:
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
-        backend=st.sampled_from(["vector", "scalar"]),
         scheduler=st.sampled_from(["fcfs", "easy"]),
         shapes=job_shapes,
         cut=st.floats(min_value=10.0, max_value=2500.0,
@@ -132,11 +130,9 @@ class TestSimulationRoundTripProperties:
     )
     @settings(max_examples=15, deadline=None)
     def test_restore_is_fixed_point_and_finish_identical(
-        self, seed, backend, scheduler, shapes, cut
+        self, seed, scheduler, shapes, cut
     ):
-        factory = functools.partial(
-            build_random, seed, backend, scheduler, shapes
-        )
+        factory = functools.partial(build_random, seed, scheduler, shapes)
         reference = result_fingerprint(factory().run())
 
         sim = factory()
@@ -163,7 +159,7 @@ class TestSimulationRoundTripProperties:
     def test_chained_checkpoints_finish_identical(self, seed, shapes, cuts):
         """Snapshot, restore, run to the next cut, snapshot again, ...:
         a chain of restores still lands on the reference result."""
-        factory = functools.partial(build_random, seed, "vector", "fcfs", shapes)
+        factory = functools.partial(build_random, seed, "fcfs", shapes)
         reference = result_fingerprint(factory().run())
         sim = factory()
         sim.prepare()

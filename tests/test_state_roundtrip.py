@@ -26,33 +26,31 @@ from repro.state import (
     state_fingerprint,
 )
 
+from repro.state.serialize import from_bytes, to_bytes
+
 from .state_scenarios import build_rich, build_small, step_until
 
-BACKENDS = ("vector", "scalar")
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestSmallRoundTrip:
-    def test_snapshot_restore_fixed_point(self, backend):
-        sim = step_until(build_small(backend=backend), 700.0)
+    def test_snapshot_restore_fixed_point(self):
+        sim = step_until(build_small(), 700.0)
         st = snapshot(sim)
-        restored = restore(st, functools.partial(build_small, backend=backend))
+        restored = restore(st, build_small)
         assert state_fingerprint(snapshot(restored)) == state_fingerprint(st)
         assert light_fingerprint(restored) == light_fingerprint(sim)
 
-    def test_resumed_run_is_identical(self, backend):
-        ref = result_fingerprint(build_small(backend=backend).run())
-        sim = step_until(build_small(backend=backend), 700.0)
+    def test_resumed_run_is_identical(self):
+        ref = result_fingerprint(build_small().run())
+        sim = step_until(build_small(), 700.0)
         st = snapshot(sim)
-        restored = restore(st, functools.partial(build_small, backend=backend))
+        restored = restore(st, build_small)
         assert result_fingerprint(run_checkpointed(restored)) == ref
         # The donor simulation is untouched by snapshot: it finishes
         # identically too.
         assert result_fingerprint(run_checkpointed(sim)) == ref
 
-    def test_snapshot_does_not_perturb(self, backend):
-        ref = result_fingerprint(build_small(backend=backend).run())
-        sim = build_small(backend=backend)
+    def test_snapshot_does_not_perturb(self):
+        ref = result_fingerprint(build_small().run())
+        sim = build_small()
         sim.prepare()
         while sim.sim.step():
             snapshot(sim)
@@ -60,22 +58,21 @@ class TestSmallRoundTrip:
                 break
         assert result_fingerprint(sim.finalize()) == ref
 
-    def test_until_horizon_resume(self, backend):
-        ref = result_fingerprint(build_small(backend=backend).run(until=1500.0))
-        sim = step_until(build_small(backend=backend), 600.0)
+    def test_until_horizon_resume(self):
+        ref = result_fingerprint(build_small().run(until=1500.0))
+        sim = step_until(build_small(), 600.0)
         st = snapshot(sim)
         result = resume_run(
-            st, functools.partial(build_small, backend=backend), until=1500.0
+            st, build_small, until=1500.0
         )
         assert result_fingerprint(result) == ref
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestRichRoundTrip:
     """All six node states, power caps, pending boot event, backfill."""
 
-    def cut_sim(self, backend):
-        sim = step_until(build_rich(backend=backend), 900.0)
+    def cut_sim(self):
+        sim = step_until(build_rich(), 900.0)
         # Manufacture the remaining states deterministically: one DOWN
         # node and one BOOTING node with its boot event in flight.
         idle = [n for n in sim.machine.nodes if n.state is NodeState.IDLE]
@@ -85,8 +82,8 @@ class TestRichRoundTrip:
         sim.rm.boot_node(off[0])
         return sim
 
-    def test_all_six_states_present(self, backend):
-        sim = self.cut_sim(backend)
+    def test_all_six_states_present(self):
+        sim = self.cut_sim()
         states = {n.state for n in sim.machine.nodes}
         assert states == {
             NodeState.OFF, NodeState.BOOTING, NodeState.IDLE,
@@ -94,10 +91,10 @@ class TestRichRoundTrip:
         }
         assert any(n.power_cap is not None for n in sim.machine.nodes)
 
-    def test_fixed_point_and_identical_finish(self, backend):
-        sim = self.cut_sim(backend)
+    def test_fixed_point_and_identical_finish(self):
+        sim = self.cut_sim()
         st = snapshot(sim)
-        restored = restore(st, functools.partial(build_rich, backend=backend))
+        restored = restore(st, build_rich)
         st2 = snapshot(restored)
         assert diff_states(st, st2) == []
         assert state_fingerprint(st2) == state_fingerprint(st)
@@ -105,10 +102,10 @@ class TestRichRoundTrip:
         fp_original = result_fingerprint(run_checkpointed(sim))
         assert fp_restored == fp_original
 
-    def test_node_fields_survive(self, backend):
-        sim = self.cut_sim(backend)
+    def test_node_fields_survive(self):
+        sim = self.cut_sim()
         restored = restore(
-            snapshot(sim), functools.partial(build_rich, backend=backend)
+            snapshot(sim), build_rich
         )
         for a, b in zip(sim.machine.nodes, restored.machine.nodes):
             assert a.state is b.state
@@ -154,6 +151,16 @@ class TestGuards:
         st = snapshot(step_until(build_small(seed=7), 500.0))
         with pytest.raises(StateError, match="config"):
             restore(st, functools.partial(build_small, seed=8))
+
+    def test_restore_rejects_scalar_power_section(self):
+        # Blobs recorded by the retired per-node power backend carry a
+        # "scalar" power section; they must fail loudly, not restore.
+        blob = to_bytes(snapshot(step_until(build_small(), 500.0)))
+        st = from_bytes(blob)
+        assert st.data["power"]["backend"] == "vector"
+        st.data["power"]["backend"] = "scalar"
+        with pytest.raises(StateError, match="backend"):
+            restore(st, build_small)
 
     def test_trace_and_meter_survive(self):
         sim = step_until(build_small(), 700.0)
