@@ -117,11 +117,12 @@ def advance_site(task: EpochTask) -> EpochOutcome:
     sim_obj.prepare()
     sim_obj.sim.run(until=task.epoch_end)
 
-    state = snapshot(sim_obj)
-    fingerprint = state_fingerprint(state)
-    blob: Optional[bytes] = (
-        to_bytes(state) if task.keep_snapshot and not task.final else None
-    )
+    # One encode per site-epoch: the fingerprint is the blob's verified
+    # content hash, and the blob itself is dropped when not shipped.
+    blob: Optional[bytes] = to_bytes(snapshot(sim_obj))
+    fingerprint = state_fingerprint(blob)
+    if task.final or not task.keep_snapshot:
+        blob = None
 
     metrics = None
     if task.final:

@@ -10,7 +10,9 @@ Two tiers:
   under observation).
 * :func:`state_fingerprint` / :func:`sim_fingerprint` — the sha256 of
   the canonical serialized snapshot: exact, order-sensitive, used by
-  the round-trip fixed-point tests and divergence reports.
+  the round-trip fixed-point tests and divergence reports.  Given the
+  ``RPST`` bytes of a snapshot, :func:`state_fingerprint` reads the
+  verified content hash off the blob instead of encoding again.
 
 :func:`result_fingerprint` digests a finished
 :class:`~repro.core.simulation.SimulationResult` (job outcomes, meter
@@ -21,12 +23,12 @@ acceptance tests and the CI replay-determinism job.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Tuple, Union
 
 import numpy as np
 
 from .capture import snapshot
-from .serialize import SimState, state_digest
+from .serialize import SimState, blob_digest, state_digest
 
 
 def light_fingerprint(sim_obj) -> str:
@@ -48,8 +50,14 @@ def light_fingerprint(sim_obj) -> str:
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 
-def state_fingerprint(state: SimState) -> str:
-    """Exact canonical digest of a snapshot."""
+def state_fingerprint(state: Union[SimState, bytes]) -> str:
+    """Exact canonical digest of a snapshot or of its ``to_bytes`` blob.
+
+    A blob's header hash is checked by re-hashing the blob, not by
+    parsing it; a tampered blob raises :class:`~repro.errors.StateError`.
+    """
+    if isinstance(state, (bytes, bytearray)):
+        return blob_digest(state)
     return state_digest(state)
 
 

@@ -14,7 +14,10 @@ paths and stable across Python versions.
 The encoding is canonical (sorted JSON keys, sorted set elements,
 order-preserving pair lists for tuples and non-string-keyed dicts), so
 equal states produce identical bytes and the content hash doubles as a
-state fingerprint.
+state fingerprint.  The hash covers the header bytes with an empty
+``content_hash`` value plus the payload; it is written by splicing the
+hex digest into that slot, and readers verify it over the raw bytes, so
+a header re-serialized in any other (non-canonical) form is refused.
 
 Only JSON-able scalars, lists, tuples, sets, dicts and numpy arrays may
 appear in the tree; the capture layer encodes object references as
@@ -29,7 +32,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -76,10 +79,37 @@ class SimState:
 # ----------------------------------------------------------------------
 # Tree encoding
 # ----------------------------------------------------------------------
+#: Exact builtin leaf types: JSON carries them as they are.
+_EXACT_LEAVES = frozenset({type(None), bool, int, float, str})
+
+
 def _encode(value: Any, arrays: List[np.ndarray], path: str) -> Any:
-    if value is None or isinstance(value, (bool, str)):
+    kind = type(value)
+    # Exact builtins, lists and dicts are nearly every node of a capture
+    # tree: one type lookup each, and leaf children are taken as they
+    # are without a call.  Everything else (numpy values, tuples, sets,
+    # builtin subclasses) goes through the isinstance chain below.
+    if kind in _EXACT_LEAVES:
         return value
-    if isinstance(value, (np.bool_,)):
+    if kind is list:
+        return [v if type(v) in _EXACT_LEAVES else _encode(v, arrays, path)
+                for v in value]
+    if kind is dict or isinstance(value, dict):
+        if all(isinstance(k, str) and not k.startswith("__") for k in value):
+            # Sorted walk: array payload order must match the sorted
+            # JSON key order so equal states serialize to equal bytes
+            # regardless of in-memory dict insertion order.
+            return {
+                k: v if type(v := value[k]) in _EXACT_LEAVES
+                else _encode(v, arrays, f"{path}.{k}")
+                for k in sorted(value)
+            }
+        # Non-string (or marker-colliding) keys: order-preserving pairs.
+        return {"__kv__": [[_encode(k, arrays, path), _encode(v, arrays, path)]
+                           for k, v in value.items()]}
+    if isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
@@ -91,22 +121,11 @@ def _encode(value: Any, arrays: List[np.ndarray], path: str) -> Any:
         arrays.append(np.ascontiguousarray(value))
         return {"__nd__": len(arrays) - 1}
     if isinstance(value, list):
-        return [_encode(v, arrays, path) for v in value]
+        return _encode(list(value), arrays, path)
     if isinstance(value, tuple):
-        return {"__t__": [_encode(v, arrays, path) for v in value]}
+        return {"__t__": _encode(list(value), arrays, path)}
     if isinstance(value, (set, frozenset)):
-        return {"__s__": [_encode(v, arrays, path)
-                          for v in sorted(value, key=repr)]}
-    if isinstance(value, dict):
-        if all(isinstance(k, str) and not k.startswith("__") for k in value):
-            # Sorted walk: array payload order must match the sorted
-            # JSON key order so equal states serialize to equal bytes
-            # regardless of in-memory dict insertion order.
-            return {k: _encode(value[k], arrays, f"{path}.{k}")
-                    for k in sorted(value)}
-        # Non-string (or marker-colliding) keys: order-preserving pairs.
-        return {"__kv__": [[_encode(k, arrays, path), _encode(v, arrays, path)]
-                           for k, v in value.items()]}
+        return {"__s__": _encode(sorted(value, key=repr), arrays, path)}
     raise StateError(
         f"cannot serialize {type(value).__name__} at {path!r}; the capture "
         f"layer must encode object references before serialization"
@@ -114,32 +133,49 @@ def _encode(value: Any, arrays: List[np.ndarray], path: str) -> Any:
 
 
 def _decode(value: Any, arrays: List[np.ndarray]) -> Any:
+    # The parsed header holds only JSON types; leaf children are taken
+    # as they are without a call.
     if isinstance(value, list):
-        return [_decode(v, arrays) for v in value]
+        return [v if type(v) in _EXACT_LEAVES else _decode(v, arrays)
+                for v in value]
     if isinstance(value, dict):
         if len(value) == 1:
             if "__nd__" in value:
                 return arrays[value["__nd__"]]
             if "__t__" in value:
-                return tuple(_decode(v, arrays) for v in value["__t__"])
+                return tuple(_decode(value["__t__"], arrays))
             if "__s__" in value:
-                return set(_decode(v, arrays) for v in value["__s__"])
+                return set(_decode(value["__s__"], arrays))
             if "__kv__" in value:
                 return {_decode(k, arrays): _decode(v, arrays)
                         for k, v in value["__kv__"]}
-        return {k: _decode(v, arrays) for k, v in value.items()}
+        return {k: v if type(v) in _EXACT_LEAVES else _decode(v, arrays)
+                for k, v in value.items()}
     return value
 
 
 # ----------------------------------------------------------------------
 # Container
 # ----------------------------------------------------------------------
+#: The header's hash slot.  Sorted keys put ``content_hash`` right
+#: after the ``arrays`` directory (dtypes and integers only), and JSON
+#: escapes every quote inside ``data``, so in a canonical header the
+#: first occurrence of these bytes is the slot itself.
+_HASH_SLOT = b'"content_hash":"'
+_HASH_HEX = 64
+
+
 def _dump_header(header: Dict[str, Any]) -> bytes:
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def to_bytes(state: SimState) -> bytes:
-    """Serialize *state* into the self-contained ``RPST`` container."""
+def _encode_state(state: SimState) -> Tuple[bytes, str]:
+    """Encode *state* once: ``(blob, content_hash)``.
+
+    The header is dumped a single time with an empty hash slot; the
+    sha256 is taken over those bytes plus the payload (the hash's
+    definition) and its hex digest is then spliced into the slot.
+    """
     arrays: List[np.ndarray] = []
     tree = _encode(state.data, arrays, "data")
     directory = []
@@ -156,26 +192,62 @@ def to_bytes(state: SimState) -> bytes:
         offset += len(raw)
         chunks.append(raw)
     payload = b"".join(chunks)
-    header = {
+    blank = _dump_header({
         "schema": int(state.schema),
         "repro_version": state.repro_version,
         "content_hash": "",
         "arrays": directory,
         "data": tree,
-    }
-    digest = hashlib.sha256(_dump_header(header) + payload).hexdigest()
-    header["content_hash"] = digest
-    hbytes = _dump_header(header)
-    return MAGIC + len(hbytes).to_bytes(4, "little") + hbytes + payload
+    })
+    hasher = hashlib.sha256(blank)
+    hasher.update(payload)
+    digest = hasher.hexdigest()
+    cut = blank.index(_HASH_SLOT) + len(_HASH_SLOT)
+    hbytes = b"".join((blank[:cut], digest.encode("ascii"), blank[cut:]))
+    blob = b"".join(
+        (MAGIC, len(hbytes).to_bytes(4, "little"), hbytes, payload)
+    )
+    return blob, digest
 
 
-def from_bytes(blob: bytes) -> SimState:
-    """Parse an ``RPST`` container, verifying magic, schema and hash."""
+def _header_length(blob: bytes) -> int:
     if len(blob) < 8 or blob[:4] != MAGIC:
         raise StateError("not an RPST checkpoint (bad magic)")
     hlen = int.from_bytes(blob[4:8], "little")
     if len(blob) < 8 + hlen:
         raise StateError("truncated RPST checkpoint (header)")
+    return hlen
+
+
+def _verified_hash(blob: bytes, hlen: int) -> str:
+    """Check an ``RPST`` blob's content hash without parsing its header.
+
+    The hash is recomputed over the raw header bytes with the slot
+    blanked again, plus the payload, so it covers exactly the bytes
+    the encoder hashed: any edited byte, or a header re-serialized
+    non-canonically, is refused.
+    """
+    cut = blob.find(_HASH_SLOT, 8, 8 + hlen)
+    if cut < 0:
+        raise StateError("RPST header has no content hash")
+    cut += len(_HASH_SLOT)
+    view = memoryview(blob)
+    hasher = hashlib.sha256(view[8:cut])
+    hasher.update(view[cut + _HASH_HEX:])
+    digest = hasher.hexdigest()
+    if digest.encode("ascii") != blob[cut:cut + _HASH_HEX]:
+        raise StateError("RPST content hash mismatch (corrupt checkpoint)")
+    return digest
+
+
+def to_bytes(state: SimState) -> bytes:
+    """Serialize *state* into the self-contained ``RPST`` container."""
+    return _encode_state(state)[0]
+
+
+def from_bytes(blob: bytes) -> SimState:
+    """Parse an ``RPST`` container, verifying magic, schema and hash."""
+    hlen = _header_length(blob)
     try:
         header = json.loads(blob[8:8 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -186,13 +258,9 @@ def from_bytes(blob: bytes) -> SimState:
             f"checkpoint schema {schema} is not supported "
             f"(this build reads schema {STATE_SCHEMA_VERSION})"
         )
+    if header.get("content_hash") != _verified_hash(blob, hlen):
+        raise StateError("RPST content hash is not in the header's hash slot")
     payload = blob[8 + hlen:]
-    expected = header.get("content_hash", "")
-    check = dict(header)
-    check["content_hash"] = ""
-    actual = hashlib.sha256(_dump_header(check) + payload).hexdigest()
-    if actual != expected:
-        raise StateError("RPST content hash mismatch (corrupt checkpoint)")
     arrays: List[np.ndarray] = []
     for entry in header["arrays"]:
         start, nbytes = entry["offset"], entry["nbytes"]
@@ -206,13 +274,16 @@ def from_bytes(blob: bytes) -> SimState:
     return SimState(schema=schema, repro_version=header["repro_version"], data=data)
 
 
+def blob_digest(blob: bytes) -> str:
+    """Verified content hash of an ``RPST`` blob, read without parsing
+    its header (equal to :func:`state_digest` of the encoded state)."""
+    return _verified_hash(blob, _header_length(blob))
+
+
 def state_digest(state: SimState) -> str:
     """Canonical sha256 fingerprint of *state* (the content hash of its
     serialized form)."""
-    blob = to_bytes(state)
-    hlen = int.from_bytes(blob[4:8], "little")
-    header = json.loads(blob[8:8 + hlen].decode("utf-8"))
-    return header["content_hash"]
+    return _encode_state(state)[1]
 
 
 def save_state(path: str, state: SimState) -> str:

@@ -9,21 +9,24 @@ import math
 
 import pytest
 
+import repro.federation.site as site_module
 from repro.centers import CENTER_MARKETS, center_market, center_slugs
 from repro.errors import ConfigurationError, SurveyError
 from repro.federation import (
+    EpochTask,
     FederationCampaign,
     GlobalBroker,
     SiteConfig,
     SiteDirective,
     SiteReport,
+    advance_site,
     build_site_simulation,
     federation_fingerprint,
     pareto_front,
 )
 from repro.grid import ElectricityPriceSchedule, RegionMarket
 from repro.policies import SiteBudgetPolicy
-from repro.state import sim_fingerprint
+from repro.state import sim_fingerprint, state_fingerprint
 from repro.units import HOUR
 
 
@@ -282,6 +285,67 @@ def _tiny_sites(horizon):
             builder_kwargs=(("nodes", 16),),
         ),
     ]
+
+
+class TestOneEncodePerAdvance:
+    """Each site-epoch encodes its state exactly once: the report's
+    fingerprint is the shipped blob's content hash, not a second
+    encode."""
+
+    HORIZON = 4 * HOUR
+    EPOCH = 2 * HOUR
+
+    @pytest.fixture
+    def encodes(self, monkeypatch):
+        calls = []
+        real = site_module.to_bytes
+
+        def counting(state):
+            calls.append(state)
+            return real(state)
+
+        monkeypatch.setattr(site_module, "to_bytes", counting)
+        return calls
+
+    def _task(self, epoch, blob=None, **kwargs):
+        return EpochTask(
+            config=_tiny_sites(self.HORIZON)[0],
+            directive=SiteDirective(epoch=epoch),
+            epoch=epoch,
+            epoch_start=epoch * self.EPOCH,
+            epoch_end=(epoch + 1) * self.EPOCH,
+            snapshot_blob=blob,
+            **kwargs,
+        )
+
+    def test_one_encode_per_advance(self, encodes):
+        first = advance_site(self._task(0))
+        assert len(encodes) == 1
+        assert first.snapshot_blob is not None
+        assert first.report.fingerprint == state_fingerprint(
+            first.snapshot_blob
+        )
+        # A what-if fork encodes once and ships nothing back.
+        fork = advance_site(
+            self._task(1, first.snapshot_blob, keep_snapshot=False)
+        )
+        assert len(encodes) == 2
+        assert fork.snapshot_blob is None
+        # The final epoch encodes once (for the fingerprint) and drops
+        # the blob; it lands on the fork's state, taken before finalize.
+        final = advance_site(self._task(1, first.snapshot_blob, final=True))
+        assert len(encodes) == 3
+        assert final.snapshot_blob is None
+        assert final.report.metrics is not None
+        assert final.report.fingerprint == fork.report.fingerprint
+
+    def test_campaign_encodes_once_per_site_epoch(self, encodes):
+        kwargs = dict(sites=_tiny_sites(self.HORIZON), horizon=self.HORIZON,
+                      epoch_seconds=self.EPOCH)
+        serial = FederationCampaign(workers=1, **kwargs).run()
+        assert len(encodes) == 2 * serial.epochs == 4
+        sharded = FederationCampaign(workers=2, **kwargs).run()
+        assert sharded.fingerprint == serial.fingerprint
 
 
 class TestFederationCampaign:

@@ -83,8 +83,16 @@ class TestRoundTrip:
         assert back["mixed"] == {(0, 1): 5.0}
 
     def test_unserializable_type_raises(self):
-        with pytest.raises(StateError, match="cannot serialize"):
+        with pytest.raises(StateError, match="cannot serialize object at 'data.bad'"):
             to_bytes(make_state({"bad": object()}))
+        # The message names the full dotted path through plain dicts,
+        # lists, tuples and sets alike.
+        nested = {"outer": {"inner": [1, {"leaf": object()}]}}
+        with pytest.raises(StateError, match=r"'data\.outer\.inner\.leaf'"):
+            to_bytes(make_state(nested))
+        nested = {"outer": ({"mid": {frozenset({1}), 2.0}}, {"leaf": object()})}
+        with pytest.raises(StateError, match=r"'data\.outer\.leaf'"):
+            to_bytes(make_state(nested))
 
 
 class TestCanonical:
