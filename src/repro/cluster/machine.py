@@ -106,6 +106,10 @@ class Machine:
         #: one (transition_bulk then falls back to the per-node
         #: listeners, so the two channels are never both fired).
         self.bulk_listener: Optional[callable] = None
+        #: Cap-cohort twin of :attr:`bulk_listener`: called once with
+        #: ``(node_ids, cap)`` after :meth:`set_power_cap_bulk` wrote a
+        #: whole cohort's caps.  Same ownership and fallback rules.
+        self.cap_listener: Optional[callable] = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -174,6 +178,35 @@ class Machine:
                 if node.power_listener is not None:
                     node.power_listener(node.node_id)
         return nodes
+
+    def set_power_cap_bulk(
+        self, nodes: Sequence[Node], cap: Optional[float]
+    ) -> List[int]:
+        """Set (or clear, with ``None``) one cap on a cohort of nodes.
+
+        Semantically equivalent to ``node.set_power_cap(cap)`` on every
+        member, with :meth:`transition_bulk`'s two differences: the
+        cap is validated against every member's floor *before* any
+        node is written (a cohort with one unenforceable member raises
+        :class:`PowerCapError` and leaves every cap unchanged), and an
+        installed :attr:`cap_listener` fires once for the cohort in
+        place of the per-node ``power_listener`` hooks.  Returns the
+        cohort's node ids in order.
+        """
+        if cap is not None:
+            cap = float(cap)
+            for node in nodes:
+                node.check_power_cap(cap)
+        for node in nodes:
+            node.power_cap = cap
+        node_ids = [n.node_id for n in nodes]
+        if self.cap_listener is not None:
+            self.cap_listener(node_ids, cap)
+        else:
+            for node in nodes:
+                if node.power_listener is not None:
+                    node.power_listener(node.node_id)
+        return node_ids
 
     def node(self, node_id: int) -> Node:
         """Look up a node by id."""

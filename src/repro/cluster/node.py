@@ -213,6 +213,14 @@ class Node:
         """Lowest enforceable cap: idle power (caps below are rejected)."""
         return self.idle_power
 
+    def check_power_cap(self, cap: float) -> None:
+        """Raise :class:`PowerCapError` if *cap* is below :attr:`cap_floor`."""
+        if cap < self.cap_floor:
+            raise PowerCapError(
+                f"node {self.node_id}: cap {cap:.1f} W below enforceable "
+                f"floor {self.cap_floor:.1f} W"
+            )
+
     def set_power_cap(self, cap: Optional[float]) -> None:
         """Set (or clear, with ``None``) the node power cap in watts.
 
@@ -223,11 +231,7 @@ class Node:
         if cap is None:
             self.power_cap = None
         else:
-            if cap < self.cap_floor:
-                raise PowerCapError(
-                    f"node {self.node_id}: cap {cap:.1f} W below enforceable "
-                    f"floor {self.cap_floor:.1f} W"
-                )
+            self.check_power_cap(cap)
             self.power_cap = float(cap)
         if self.power_listener is not None:
             self.power_listener(self.node_id)

@@ -194,11 +194,13 @@ class ResourceManager:
     # Power control (caps and DVFS)
     # ------------------------------------------------------------------
     def set_power_cap(self, nodes: Iterable[Node], cap: Optional[float]) -> List[int]:
-        """Set (or clear) per-node caps; returns affected node ids."""
-        affected = []
-        for node in nodes:
-            node.set_power_cap(cap)
-            affected.append(node.node_id)
+        """Set (or clear) per-node caps; returns affected node ids.
+
+        The cohort goes through :meth:`Machine.set_power_cap_bulk`: it
+        is validated whole before any cap is written, and the owning
+        simulation absorbs it with one mirror scatter.
+        """
+        affected = self.machine.set_power_cap_bulk(list(nodes), cap)
         self._emit("rm.cap", nodes=len(affected), cap=cap)
         if affected and self.on_speed_changed is not None:
             self.on_speed_changed(affected)

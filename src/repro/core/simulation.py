@@ -151,7 +151,8 @@ class ClusterSimulation:
     Machine power is evaluated through the structure-of-arrays mirror
     (:mod:`repro.power.vector`), and multi-node lifecycle changes — job
     start/teardown and RM cohort boots/shutdowns — go through
-    ``Machine.transition_bulk`` with one listener firing per cohort.
+    ``Machine.transition_bulk`` with one listener firing per cohort;
+    RM cap cohorts likewise go through ``Machine.set_power_cap_bulk``.
     """
 
     def __init__(
@@ -257,6 +258,7 @@ class ClusterSimulation:
         for node in machine.nodes:
             node.power_listener = self._on_node_event
         machine.bulk_listener = self._on_bulk_event
+        machine.cap_listener = self._on_cap_cohort
 
         self.meter = PowerMeter(
             self.sim,
@@ -400,6 +402,15 @@ class ClusterSimulation:
                 self._usable_count += was_down
         self.power_vector.transition_rows(rows, STATE_CODES[target], time)
 
+    def _on_cap_cohort(
+        self, node_ids: Sequence[int], cap: Optional[float]
+    ) -> None:
+        """``Machine.cap_listener`` target: a whole cohort took one cap.
+        A cap moves no node state, so the scheduling masks stand; the
+        power mirror absorbs the cohort in one scatter."""
+        mirror = self.power_vector
+        mirror.set_caps(mirror.rows_for(node_ids), cap)
+
     @property
     def usable_node_count(self) -> int:
         """Nodes not administratively DOWN (capacity ceiling for
@@ -523,16 +534,39 @@ class ClusterSimulation:
         excess = max(0.0, (cost - 2.0) / 2.0)
         return 1.0 + self.comm_penalty * comm_fraction * excess
 
-    def _compute_operating(self, execution: JobExecution) -> Tuple[float, float, bool]:
-        """(speed, power, violated) of a job across its nodes now: one
-        kernel over the job's rows (the mirror already holds the job's
-        intensity/sensitivity from ``bind_execution``)."""
-        op = self.power_vector.operating_points(execution.rows)
-        speed = min(1.0, float(op.speed.min()))
-        power = float(op.watts.sum())
-        violated = bool(op.cap_violated.any())
-        speed /= execution.placement_penalty
-        return max(speed, 1e-9), power, violated
+    def _operating(
+        self, executions: Sequence[JobExecution]
+    ) -> List[Tuple[float, float, bool]]:
+        """(speed, power, violated) of each execution across its nodes
+        now, in *executions* order.
+
+        One kernel evaluates the concatenated rows of every execution
+        (the mirror already holds each job's intensity/sensitivity from
+        ``bind_execution``); each execution then reduces its contiguous
+        slice.  The kernel is elementwise and min/any are exact, and
+        each slice's watts go through their own ``.sum()`` (numpy's
+        pairwise order over the same values), so every triple is
+        bit-identical to a kernel over that execution's rows alone.
+        """
+        widths = [execution.rows.size for execution in executions]
+        op = self.power_vector.operating_points(
+            np.concatenate([execution.rows for execution in executions])
+        )
+        starts = np.cumsum(widths) - widths
+        speeds = np.minimum.reduceat(op.speed, starts).tolist()
+        violated = np.logical_or.reduceat(op.cap_violated, starts).tolist()
+        watts = op.watts
+        out = []
+        start = 0
+        for execution, width, speed, viol in zip(
+            executions, widths, speeds, violated
+        ):
+            end = start + width
+            power = float(watts[start:end].sum())
+            speed = min(1.0, speed) / execution.placement_penalty
+            out.append((max(speed, 1e-9), power, viol))
+            start = end
+        return out
 
     def _update_execution(self, execution: JobExecution) -> None:
         """Bank work and energy accumulated since the last update."""
@@ -556,26 +590,16 @@ class ClusterSimulation:
             name=f"end:{execution.job.job_id}",
         )
 
-    def _reevaluate_execution(self, execution: JobExecution) -> None:
-        """Bank work at the old speed, recompute the operating point
-        and reschedule the completion event."""
-        self._update_execution(execution)
-        speed, power, violated = self._compute_operating(execution)
-        execution.speed = speed
-        execution.power_watts = power
-        if violated and not execution.cap_violated:
-            execution.cap_violated = True
-            self.trace.emit(self.sim.now, "power.cap_violation",
-                            job=execution.job.job_id)
-        self._schedule_end(execution)
-
     def _on_speed_changed(self, node_ids: List[int]) -> None:
         """RM changed caps/frequency: re-evaluate affected executions.
 
-        (The nodes marked themselves power-dirty via their listener
-        hook when the cap/frequency was written.)  Affected executions
-        are visited in first-occurrence order of *node_ids*: slot ids
-        are deduplicated with one gather, then put back in that order.
+        (The mirror already holds the new caps/frequencies: the write
+        fired the node or cohort listener.)  Affected executions are
+        visited in first-occurrence order of *node_ids*: slot ids are
+        deduplicated with one gather, then put back in that order.
+        Their operating points come from one kernel
+        (:meth:`_operating`); each execution then banks work at its old
+        speed, takes the new point and reschedules its completion.
         """
         mirror = self.power_vector
         rows = mirror.rows_for(node_ids)
@@ -585,8 +609,22 @@ class ClusterSimulation:
             return
         uniq, first = np.unique(slots, return_index=True)
         exec_slots = self._exec_slots
-        for slot in uniq[np.argsort(first, kind="stable")].tolist():
-            self._reevaluate_execution(exec_slots[slot])
+        executions = [
+            exec_slots[slot]
+            for slot in uniq[np.argsort(first, kind="stable")].tolist()
+        ]
+        now = self.sim.now
+        for execution, (speed, power, violated) in zip(
+            executions, self._operating(executions)
+        ):
+            self._update_execution(execution)
+            execution.speed = speed
+            execution.power_watts = power
+            if violated and not execution.cap_violated:
+                execution.cap_violated = True
+                self.trace.emit(now, "power.cap_violation",
+                                job=execution.job.job_id)
+            self._schedule_end(execution)
 
     # ------------------------------------------------------------------
     # Job life-cycle
@@ -627,7 +665,7 @@ class ClusterSimulation:
         execution.last_update = now
         execution.placement_penalty = self._placement_penalty(job, node_ids)
         # Binding changes the nodes' billed draw (job intensity); it
-        # must land in the mirror before _compute_operating.
+        # must land in the mirror before _operating.
         execution.rows = self.power_vector.rows_for(node_ids)
         self.power_vector.bind_execution(
             execution.rows,
@@ -635,7 +673,7 @@ class ClusterSimulation:
             job.mean_power_intensity,
             job.mean_sensitivity,
         )
-        speed, power, violated = self._compute_operating(execution)
+        [(speed, power, violated)] = self._operating([execution])
         execution.speed = speed
         execution.power_watts = power
         execution.cap_violated = violated

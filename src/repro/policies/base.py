@@ -119,6 +119,28 @@ class Policy:
         self.on_tick(now)
 
     # ------------------------------------------------------------------
+    # Shared actuation
+    # ------------------------------------------------------------------
+    def _cap_powered_nodes(self, limit_watts: float) -> bool:
+        """Cap every powered node (``Node.is_on``) at an even share of
+        *limit_watts*, raised to the highest cap floor (idle power)
+        among them so the cohort cap stays enforceable.  The powered
+        set and the floor are read from the simulation's power mirror.
+        Returns False, capping nothing, when no node is powered."""
+        simulation = self.simulation
+        mirror = simulation.power_vector
+        rows = mirror.powered_rows()
+        if rows.size == 0:
+            return False
+        per_node = limit_watts / rows.size
+        floor = float(mirror.idle_power[rows].max())
+        nodes = simulation.machine.nodes
+        simulation.rm.set_power_cap(
+            [nodes[row] for row in rows.tolist()], max(per_node, floor)
+        )
+        return True
+
+    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def epa_components(self) -> List[Tuple[str, FunctionalCategory, str]]:

@@ -80,13 +80,10 @@ class DemandResponsePolicy(Policy):
         # Fine-grained lever: cap powered nodes so even the carried-over
         # jobs fit the DR limit (the "fine and coarse grained power
         # management" of the survey's motivation).
-        if self.cap_during_events:
-            powered = [n for n in machine.nodes if n.is_on]
-            if powered:
-                per_node = event.limit_watts / len(powered)
-                floor = max(n.cap_floor for n in powered)
-                rm.set_power_cap(powered, max(per_node, floor))
-                self._caps_applied = True
+        if self.cap_during_events and self._cap_powered_nodes(
+            event.limit_watts
+        ):
+            self._caps_applied = True
         power = self.simulation.machine_power()
         if power <= event.limit_watts:
             return

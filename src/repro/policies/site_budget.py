@@ -84,12 +84,7 @@ class SiteBudgetPolicy(Policy):
             return
         if not self.cap_nodes:
             return
-        machine = self.simulation.machine
-        powered = [n for n in machine.nodes if n.is_on]
-        if powered:
-            per_node = self.limit_watts / len(powered)
-            floor = max(n.cap_floor for n in powered)
-            self.simulation.rm.set_power_cap(powered, max(per_node, floor))
+        if self._cap_powered_nodes(self.limit_watts):
             self._caps_applied = True
 
     def epa_components(self) -> List[Tuple[str, FunctionalCategory, str]]:

@@ -25,6 +25,10 @@ The mirror is *push*-synchronized:
   setters (``transition``/``set_power_cap``/``set_frequency``) fires
   ``Node.power_listener``, which the owning simulation routes into
   :meth:`touch` — the row is re-read from the node and marked dirty;
+* cohort writes fire one machine-level listener instead:
+  ``Machine.transition_bulk`` lands in :meth:`transition_rows` and
+  ``Machine.set_power_cap_bulk`` in :meth:`set_caps`, each one scatter
+  over the cohort's rows;
 * job (un)binding does not fire the hook; the simulation calls
   :meth:`bind_execution`/:meth:`unbind_execution` where it allocates or
   frees the job's execution slot (``exec_slot`` row membership);
@@ -270,6 +274,19 @@ class VectorPowerMirror:
         row = self._row_of[node_id]
         self.refresh_row(row)
         self._dirty.add(row)
+
+    def set_caps(self, rows: np.ndarray, cap: Optional[float]) -> None:
+        """Cohort twin of :meth:`touch` after ``Node.set_power_cap``:
+        scatter one cap (``None`` -> +inf) into *rows* and mark them
+        dirty.  A cap write changes no other mirrored field."""
+        self.power_cap[rows] = np.inf if cap is None else cap
+        self._dirty.update(rows.tolist())
+
+    def powered_rows(self) -> np.ndarray:
+        """Rows of nodes drawing operational power (``Node.is_on``:
+        booting, shutting down, idle or busy), in row order."""
+        state = self.state_code
+        return np.flatnonzero((state != _OFF) & (state != _DOWN))
 
     def bind(self, rows: np.ndarray, utilization: float, sensitivity: float) -> None:
         """Record a job binding on *rows* (intensity enters the bill)."""

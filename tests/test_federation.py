@@ -348,6 +348,39 @@ class TestOneEncodePerAdvance:
         assert sharded.fingerprint == serial.fingerprint
 
 
+#: ``FederationResult.fingerprint`` of the two tiny sites under the
+#: 0.70 fleet budget, recorded before cap changes were batched into one
+#: kernel and one mirror scatter per change.
+PINNED_BROKER_ON = (
+    "4cdac94239659afcc916b1e7ecd658ba74f07d9f836633a05a4621a4b5b65fb2"
+)
+
+
+class TestBrokerOnPin:
+    """A broker-on campaign where the budget binds — site caps slow
+    running jobs and the gate vetoes starts — pinned to a literal."""
+
+    HORIZON = 4 * HOUR
+    EPOCH = 2 * HOUR
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fingerprint_pinned(self, workers):
+        result = FederationCampaign(
+            sites=_tiny_sites(self.HORIZON),
+            horizon=self.HORIZON,
+            epoch_seconds=self.EPOCH,
+            broker=GlobalBroker(CENTER_MARKETS, budget_fraction=0.70),
+            workers=workers,
+        ).run()
+        assert all(
+            math.isfinite(d.budget_watts)
+            for directives in result.directives.values()
+            for d in directives[1:]
+        )
+        assert sum(r.vetoes for r in result.reports["stfc"]) > 0
+        assert result.fingerprint == PINNED_BROKER_ON
+
+
 class TestFederationCampaign:
     HORIZON = 4 * HOUR
     EPOCH = 2 * HOUR
