@@ -581,7 +581,7 @@ def _fanout_call(fn: Callable[[Any], Any], task: Any, max_attempts: int) -> Any:
 
 
 class FanoutPool:
-    """Order-preserving process fan-out for arbitrary picklable tasks.
+    """Order-preserving, pinned process fan-out for picklable tasks.
 
     The :class:`ExperimentExecutor` above owns the variant/replica/cache
     machinery; this is the raw substrate under it for callers — the
@@ -589,15 +589,19 @@ class FanoutPool:
     (e.g. an epoch's worth of site snapshots) and need the pool to
     *persist across calls* so workers warm up once, not once per epoch.
 
+    Each worker slot is its own single-process executor, and task *i*
+    of every ``map`` call runs on slot ``i % workers``.  A caller that
+    keeps its task order stable therefore keeps each task on the same
+    worker process — and on whatever that process kept in module state
+    from the previous call (the federation's live sites).
+
     Contract: ``map(fn, tasks)`` returns results in task order, with
     ``fn`` a module-level picklable callable for ``workers > 1``
     (``workers == 1`` executes inline and accepts any callable).
-    Worker crashes retry up to ``max_attempts``; a broken pool (hard
-    worker death) falls back to inline execution for the unfinished
-    tasks and is rebuilt on the next call.
+    Worker crashes retry up to ``max_attempts`` in the worker.  A broken
+    slot (hard worker death) runs its unfinished tasks inline; only that
+    slot is respawned, on the next call.
     """
-
-    _UNSET = object()
 
     def __init__(self, workers: int = 1, max_attempts: int = 3) -> None:
         if workers < 1:
@@ -606,47 +610,55 @@ class FanoutPool:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.workers = int(workers)
         self.max_attempts = int(max_attempts)
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._slots: List[Optional[ProcessPoolExecutor]] = [None] * self.workers
 
     # ------------------------------------------------------------------
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
+    def _submit(self, slot: int, fn: Callable[[Any], Any], task: Any):
+        """Queue *task* on *slot*; ``None`` when the slot is broken."""
+        pool = self._slots[slot]
+        if pool is None:
+            pool = self._slots[slot] = ProcessPoolExecutor(max_workers=1)
+        try:
+            return pool.submit(_fanout_call, fn, task, self.max_attempts)
+        except BrokenExecutor:
+            return None
 
-    def _discard_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+    def _discard_slot(self, slot: int) -> None:
+        pool = self._slots[slot]
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+            self._slots[slot] = None
 
     def map(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:
         """Apply *fn* to every task; results in task order."""
         tasks = list(tasks)
-        if not tasks:
-            return []
-        if self.workers == 1 or len(tasks) == 1:
+        if self.workers == 1:
             return [_fanout_call(fn, task, self.max_attempts) for task in tasks]
-        results: List[Any] = [self._UNSET] * len(tasks)
-        try:
-            pool = self._ensure_pool()
-            futures = [
-                pool.submit(_fanout_call, fn, task, self.max_attempts)
-                for task in tasks
-            ]
-            for i, future in enumerate(futures):
-                results[i] = future.result()
-        except BrokenExecutor:
-            self._discard_pool()
-            for i, task in enumerate(tasks):
-                if results[i] is self._UNSET:
-                    results[i] = _fanout_call(fn, task, self.max_attempts)
+        futures = [
+            self._submit(i % self.workers, fn, task)
+            for i, task in enumerate(tasks)
+        ]
+        results: List[Any] = []
+        broken = set()
+        for i, (task, future) in enumerate(zip(tasks, futures)):
+            if future is not None:
+                try:
+                    results.append(future.result())
+                    continue
+                except BrokenExecutor:
+                    pass
+            broken.add(i % self.workers)
+            results.append(_fanout_call(fn, task, self.max_attempts))
+        for slot in broken:
+            self._discard_slot(slot)
         return results
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Shut every worker slot down (idempotent)."""
+        for slot, pool in enumerate(self._slots):
+            if pool is not None:
+                pool.shutdown(wait=True)
+                self._slots[slot] = None
 
     def __enter__(self) -> "FanoutPool":
         return self

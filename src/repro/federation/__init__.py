@@ -7,9 +7,10 @@ epoch window (time-of-use tariff + carbon trace, timezone-shifted) and
 water-fills a fleet power budget where electricity is cheap and clean;
 sites enforce their directive through
 :class:`~repro.policies.site_budget.SiteBudgetPolicy` and report
-power/queue/slowdown telemetry back.  Site state moves between
-processes as ``RPST`` snapshot bytes, which is also what makes what-if
-forks and cross-worker migration safe.
+power/queue/slowdown telemetry back.  Each site stays live in the
+worker it is pinned to; its state also crosses processes as ``RPST``
+snapshot bytes every epoch, which is what makes what-if forks and
+recovery on another worker safe.
 
 See DESIGN.md §13 for the epoch protocol and determinism contract.
 """

@@ -4,11 +4,13 @@ The campaign advances every site one coordination epoch at a time on a
 :class:`~repro.analysis.executor.FanoutPool` — sites run concurrently
 within an epoch, and the epoch boundary is the barrier where telemetry
 flows up to the :class:`~repro.federation.broker.GlobalBroker` and
-budget directives flow back down.  Site state travels inside the epoch
-tasks as ``RPST`` snapshot bytes, so the pool is free to land a site
-on a different worker every epoch (checkpoint/migrate is the normal
-path) and a retained snapshot can be forked for what-if scoring
-without touching the primary run.
+budget directives flow back down.  Sites go out in the same order
+every epoch, so the pool's pinned slots keep each site on one worker,
+which continues its live simulation.  Site state still travels inside
+the epoch tasks as ``RPST`` snapshot bytes: a site that lands on
+another worker (a respawned slot, a retry) restores from them —
+migration is the recovery path — and a retained snapshot can be
+forked for what-if scoring without touching the primary run.
 
 Determinism contract: with fixed site configs, markets and broker
 parameters, the per-site state fingerprints after every epoch — and
@@ -30,7 +32,7 @@ from ..grid.market import RegionMarket
 from ..units import DAY, HOUR
 from .broker import GlobalBroker
 from .protocol import EpochTask, SiteConfig, SiteDirective, SiteReport
-from .site import advance_site
+from .site import advance_site, release_live_sites
 
 __all__ = [
     "FederationCampaign",
@@ -206,34 +208,39 @@ class FederationCampaign:
         issued: Dict[str, List[SiteDirective]] = {s: [] for s in slugs}
         self.snapshots = {s: {} for s in slugs}
 
-        with FanoutPool(workers=self.workers) as pool:
-            for epoch in range(self.epochs):
-                start, end = self._epoch_bounds(epoch)
-                final = epoch == self.epochs - 1
-                tasks = [
-                    EpochTask(
-                        config=cfg,
-                        directive=directives[cfg.slug],
-                        epoch=epoch,
-                        epoch_start=start,
-                        epoch_end=end,
-                        snapshot_blob=blobs[cfg.slug],
-                        final=final,
-                    )
-                    for cfg in self.sites
-                ]
-                outcomes = pool.map(advance_site, tasks)
-                for cfg, outcome in zip(self.sites, outcomes):
-                    slug = cfg.slug
-                    reports[slug].append(outcome.report)
-                    issued[slug].append(directives[slug])
-                    blobs[slug] = outcome.snapshot_blob
-                    if self.retain_snapshots and outcome.snapshot_blob:
-                        self.snapshots[slug][epoch] = outcome.snapshot_blob
-                if not final:
-                    directives = self._next_directives(
-                        epoch, {s: reports[s][-1] for s in slugs}
-                    )
+        try:
+            with FanoutPool(workers=self.workers) as pool:
+                for epoch in range(self.epochs):
+                    start, end = self._epoch_bounds(epoch)
+                    final = epoch == self.epochs - 1
+                    tasks = [
+                        EpochTask(
+                            config=cfg,
+                            directive=directives[cfg.slug],
+                            epoch=epoch,
+                            epoch_start=start,
+                            epoch_end=end,
+                            snapshot_blob=blobs[cfg.slug],
+                            final=final,
+                        )
+                        for cfg in self.sites
+                    ]
+                    outcomes = pool.map(advance_site, tasks)
+                    for cfg, outcome in zip(self.sites, outcomes):
+                        slug = cfg.slug
+                        reports[slug].append(outcome.report)
+                        issued[slug].append(directives[slug])
+                        blobs[slug] = outcome.snapshot_blob
+                        if self.retain_snapshots and outcome.snapshot_blob:
+                            self.snapshots[slug][epoch] = outcome.snapshot_blob
+                    if not final:
+                        directives = self._next_directives(
+                            epoch, {s: reports[s][-1] for s in slugs}
+                        )
+        finally:
+            # At workers=1 (or after an inline fallback) the live sites
+            # sit in this process; none may outlive the campaign.
+            release_live_sites()
 
         sites = {
             slug: self._site_result(slug, reports[slug]) for slug in slugs

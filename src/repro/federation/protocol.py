@@ -6,9 +6,13 @@ message is a plain picklable dataclass with only primitive payloads:
 floats, strings, tuples and the raw ``RPST`` snapshot bytes.  One
 coordination epoch exchanges exactly one :class:`EpochTask` per site
 (directive + frozen state in) and one :class:`EpochOutcome` back
-(telemetry + advanced state out); the broker never sees simulator
-objects, only :class:`SiteReport` numbers — which is what keeps the
-allocation loop deterministic and the protocol replayable.
+(telemetry + advanced state out).  A worker that still holds the site
+live from the previous epoch continues it when its fingerprint matches
+the blob, so the bytes are the recovery path, not the hot one; they
+travel every epoch all the same, which keeps crash retries and what-if
+forks free of any handshake.  The broker never sees simulator objects,
+only :class:`SiteReport` numbers — which is what keeps the allocation
+loop deterministic and the protocol replayable.
 """
 
 from __future__ import annotations
@@ -118,8 +122,9 @@ class EpochTask:
     """Driver -> worker: advance one site through one epoch.
 
     ``snapshot_blob=None`` means epoch zero — build the site fresh
-    from its config; otherwise restore the ``RPST`` bytes onto a
-    factory-built twin.  ``final`` epochs additionally finalize the
+    from its config; otherwise continue the worker's live copy when it
+    is on exactly these bytes, or restore them onto a factory-built
+    twin.  ``final`` epochs additionally finalize the
     simulation (metrics) after the closing snapshot; ``keep_snapshot``
     is dropped for what-if forks, which only need the report.
     """

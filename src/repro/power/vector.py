@@ -476,22 +476,43 @@ class VectorPowerMirror:
         Totals are reduced with ``np.sum`` on the caller side of the
         kernel, so the summation order is fixed here.
         """
-        n = len(self._watts)
-        dirty = self._dirty
-        if self._all_dirty or 2 * len(dirty) >= n:
-            watts = self._watts_kernel(slice(None))
-            self._watts = watts
-            self._total = float(watts.sum())
-            self._all_dirty = False
-            dirty.clear()
-        elif dirty:
-            rows = np.fromiter(dirty, dtype=np.intp, count=len(dirty))
-            rows.sort()
-            fresh = self._watts_kernel(rows)
-            self._total += float(fresh.sum() - self._watts[rows].sum())
+        rows, fresh, total = self._fold()
+        if rows is None:
+            return total
+        if isinstance(rows, slice):
+            self._watts = fresh
+        else:
             self._watts[rows] = fresh
-            dirty.clear()
-        return self._total
+        self._total = total
+        self._all_dirty = False
+        self._dirty.clear()
+        return total
+
+    def peek_watts(self) -> float:
+        """Total machine draw without folding anything back.
+
+        Same arithmetic as :meth:`machine_watts`, so the same float, but
+        the dirty rows, the per-row cache and the running total stay as
+        they are — a read between a snapshot and the next advance leaves
+        the live state on the snapshot's fingerprint.
+        """
+        return self._fold()[2]
+
+    def _fold(self):
+        """``(rows, fresh watts, total)`` of the pending fold: rows is
+        ``None`` when clean, ``slice(None)`` for a full re-sum."""
+        dirty = self._dirty
+        if self._all_dirty or 2 * len(dirty) >= len(self._watts):
+            watts = self._watts_kernel(slice(None))
+            return slice(None), watts, float(watts.sum())
+        if not dirty:
+            return None, None, self._total
+        rows = np.fromiter(dirty, dtype=np.intp, count=len(dirty))
+        rows.sort()
+        fresh = self._watts_kernel(rows)
+        return rows, fresh, self._total + float(
+            fresh.sum() - self._watts[rows].sum()
+        )
 
     def node_watts(self) -> np.ndarray:
         """Per-node current draw, ``machine.nodes`` order (a copy)."""

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import pathlib
+import time
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.analysis import (
     config_fingerprint,
     render_executor_summary,
 )
+from repro.analysis.executor import FanoutPool
 from repro.cluster import Machine, MachineSpec
 from repro.core import ClusterSimulation, EasyBackfillScheduler, FcfsScheduler
 from repro.core.metrics import MetricsReport
@@ -279,3 +282,67 @@ class TestMetricsRoundTrip:
         assert rebuilt.as_dict() == report.as_dict()
         assert rebuilt.jobs_submitted == 4
         assert rebuilt.extra["boots_initiated"] == 2.0
+
+
+# ----------------------------------------------------------------------
+# FanoutPool: pinned worker slots
+# ----------------------------------------------------------------------
+def pid_of(task):
+    """(task, pid of the process that ran it)."""
+    return task, os.getpid()
+
+
+def slow_square(task):
+    index, delay = task
+    time.sleep(delay)
+    return index * index
+
+
+def exit_in_worker(task):
+    """``os._exit`` when *task* asks for it and runs in a worker (the
+    pool's inline fallback runs it in the parent, which must live)."""
+    index, parent, die = task
+    if die and os.getpid() != parent:
+        os._exit(3)
+    return index, os.getpid()
+
+
+class TestFanoutPool:
+    def test_each_task_index_keeps_its_worker(self):
+        with FanoutPool(workers=3) as pool:
+            first = [pid for _, pid in pool.map(pid_of, range(7))]
+            second = [pid for _, pid in pool.map(pid_of, range(7))]
+        assert first == second
+        assert len(set(first)) == 3 and os.getpid() not in first
+        # Task i runs on slot i mod 3.
+        assert all(first[i] == first[i % 3] for i in range(7))
+
+    def test_results_in_task_order(self):
+        # Early tasks sleep longest, so they finish last.
+        tasks = [(i, 0.05 * (5 - i)) for i in range(6)]
+        with FanoutPool(workers=2) as pool:
+            assert pool.map(slow_square, tasks) == [i * i for i in range(6)]
+            assert pool.map(slow_square, []) == []
+
+    def test_inline_at_one_worker(self):
+        with FanoutPool(workers=1) as pool:
+            assert pool.map(pid_of, [0, 1]) == [(0, os.getpid()), (1, os.getpid())]
+
+    def test_killed_worker_falls_back_inline_and_respawns_only_its_slot(self):
+        parent = os.getpid()
+        with FanoutPool(workers=3) as pool:
+            before = [pid for _, pid in
+                      pool.map(exit_in_worker, [(i, parent, False) for i in range(6)])]
+            # Task 1 kills slot 1's worker; slot 1's tasks (1 and 4)
+            # finish inline, the other slots' tasks where they were.
+            crashed = pool.map(exit_in_worker,
+                               [(i, parent, i == 1) for i in range(6)])
+            assert [index for index, _ in crashed] == list(range(6))
+            assert [pid for _, pid in crashed] == [
+                before[0], parent, before[2], before[0], parent, before[2],
+            ]
+            after = [pid for _, pid in
+                     pool.map(exit_in_worker, [(i, parent, False) for i in range(6)])]
+        assert after[0] == before[0] and after[2] == before[2]
+        assert after[1] not in (before[1], parent)
+        assert after[4] == after[1]

@@ -9,7 +9,9 @@ import math
 
 import pytest
 
+import repro.federation.campaign as campaign_module
 import repro.federation.site as site_module
+from repro.analysis.executor import ExecutorError, FanoutPool
 from repro.centers import CENTER_MARKETS, center_market, center_slugs
 from repro.errors import ConfigurationError, SurveyError
 from repro.federation import (
@@ -495,3 +497,241 @@ class TestFederationCampaign:
                 sites=_tiny_sites(HOUR), markets=market,
                 horizon=HOUR, epoch_seconds=HOUR,
             )
+
+
+# ----------------------------------------------------------------------
+# Resident sites: live simulations between epochs, the blob on a miss
+# ----------------------------------------------------------------------
+def _three_sites(horizon):
+    return _tiny_sites(horizon) + [
+        SiteConfig(
+            slug="lrz",
+            seed=1,
+            horizon=horizon,
+            builder_kwargs=(("nodes", 16),),
+        ),
+    ]
+
+
+def _advance_cold(task):
+    """``advance_site`` with this process's live sites dropped first:
+    every epoch misses and restores from the shipped blob."""
+    site_module.release_live_sites()
+    return site_module.advance_site(task)
+
+
+class _RotatingPool(FanoutPool):
+    """Shifts the task list by one more place on every call, so with
+    as many slots as sites each site lands on a different worker every
+    epoch — a migration per site-epoch, onto a worker that may hold a
+    stale live copy of it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = 0
+
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        shift = self.calls % len(tasks)
+        self.calls += 1
+        rotated = super().map(fn, tasks[shift:] + tasks[:shift])
+        return rotated[len(tasks) - shift:] + rotated[:len(tasks) - shift]
+
+
+@pytest.fixture
+def restores(monkeypatch):
+    """Counts the site restores this process performs."""
+    calls = []
+    real = site_module.restore
+
+    def counting(state, factory):
+        calls.append(state)
+        return real(state, factory)
+
+    monkeypatch.setattr(site_module, "restore", counting)
+    return calls
+
+
+class TestResidentSites:
+    HORIZON = 6 * HOUR
+    EPOCH = 2 * HOUR
+
+    def _campaign(self, workers, epoch_seconds=EPOCH):
+        return FederationCampaign(
+            sites=_three_sites(self.HORIZON),
+            horizon=self.HORIZON,
+            epoch_seconds=epoch_seconds,
+            broker=GlobalBroker(CENTER_MARKETS, budget_fraction=0.70),
+            workers=workers,
+        )
+
+    @staticmethod
+    def _chain(config, epoch_seconds, epochs):
+        """Advance *config* through *epochs* non-final epochs in this
+        process; yields each report with the live simulation after it."""
+        blob = None
+        for epoch in range(epochs):
+            outcome = advance_site(EpochTask(
+                config=config,
+                directive=SiteDirective(epoch=epoch),
+                epoch=epoch,
+                epoch_start=epoch * epoch_seconds,
+                epoch_end=(epoch + 1) * epoch_seconds,
+                snapshot_blob=blob,
+            ))
+            blob = outcome.snapshot_blob
+            yield outcome.report, site_module._LIVE[config.slug].simulation
+
+    @pytest.mark.parametrize("seed, epoch_hours, epochs", [
+        (7, 2.0, 1),    # dirty power rows right after epoch 0
+        (4, 0.25, 11),  # ... and after epoch 7
+    ])
+    def test_live_state_matches_shipped_fingerprint(self, seed, epoch_hours,
+                                                    epochs):
+        # The reports are read after the closing snapshot.  None of
+        # those reads may move the live state off the fingerprint the
+        # blob carries, or the next epoch would continue from a state
+        # nobody shipped.  The demand read folding dirty mirror rows
+        # used to do exactly that on these seeds.
+        config = SiteConfig(slug="cea", seed=seed,
+                            horizon=(epochs + 1) * epoch_hours * HOUR)
+        dirty = 0
+        try:
+            for report, live in self._chain(config, epoch_hours * HOUR,
+                                            epochs):
+                mirror = live.power_vector
+                dirty += bool(mirror._dirty) or mirror._all_dirty
+                assert sim_fingerprint(live) == report.fingerprint
+        finally:
+            site_module.release_live_sites()
+        assert dirty, "no epoch ended with dirty mirror rows"
+
+    def test_resident_run_restores_nothing(self, restores):
+        result = self._campaign(workers=1).run()
+        assert restores == []
+        assert result.fingerprint == self._campaign(workers=2).run().fingerprint
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_forced_miss_matches_resident(self, monkeypatch, restores,
+                                          workers):
+        resident = self._campaign(workers=1).run()
+        monkeypatch.setattr(campaign_module, "advance_site", _advance_cold)
+        cold = self._campaign(workers=workers).run()
+        assert cold.fingerprint == resident.fingerprint
+        for slug, site in resident.sites.items():
+            assert cold.sites[slug].fingerprints == site.fingerprints
+        if workers == 1:
+            # Every epoch after the first restored every site.
+            assert len(restores) == 3 * (resident.epochs - 1)
+
+    def test_rotating_slots_match_resident(self, monkeypatch):
+        # Six epochs on three slots: from epoch 3 on, each site comes
+        # back to a worker holding its copy from three epochs earlier.
+        resident = self._campaign(workers=3, epoch_seconds=HOUR).run()
+        monkeypatch.setattr(campaign_module, "FanoutPool", _RotatingPool)
+        migrated = self._campaign(workers=3, epoch_seconds=HOUR).run()
+        assert migrated.epochs == 6
+        assert migrated.fingerprint == resident.fingerprint
+
+    def test_stale_live_copy_is_not_continued(self, restores):
+        # A worker may hold a copy of the site from an older epoch (the
+        # site moved away and came back).  Same config, older state:
+        # the task's fingerprint tells them apart, and the worker
+        # restores from the blob.
+        config = _tiny_sites(self.HORIZON)[0]
+
+        def task(epoch, blob, budget=math.inf):
+            return EpochTask(
+                config=config,
+                directive=SiteDirective(epoch=epoch, budget_watts=budget),
+                epoch=epoch,
+                epoch_start=epoch * self.EPOCH,
+                epoch_end=(epoch + 1) * self.EPOCH,
+                snapshot_blob=blob,
+            )
+
+        try:
+            first = advance_site(task(0, None))
+            stale = site_module._LIVE["cea"]
+            # The budget binds in epoch 1, so skipping it shows.
+            second = advance_site(task(1, first.snapshot_blob, 3000.0))
+            site_module.release_live_sites()
+            cold = advance_site(task(2, second.snapshot_blob))
+            site_module._LIVE["cea"] = stale
+            again = advance_site(task(2, second.snapshot_blob))
+        finally:
+            site_module.release_live_sites()
+        assert len(restores) == 2
+        assert again.report.fingerprint == cold.report.fingerprint
+
+    def test_prepare_is_idempotent_on_a_live_simulation(self):
+        config = _tiny_sites(self.HORIZON)[0]
+        try:
+            report, live = next(self._chain(config, self.EPOCH, 1))
+            events = len(live.sim.iter_live_events())
+            live.prepare()
+            assert len(live.sim.iter_live_events()) == events
+            assert sim_fingerprint(live) == report.fingerprint
+        finally:
+            site_module.release_live_sites()
+
+    def test_forks_neither_read_nor_perturb_the_cache(self):
+        campaign = FederationCampaign(
+            sites=_tiny_sites(self.HORIZON), horizon=self.HORIZON,
+            epoch_seconds=self.EPOCH, workers=1, retain_snapshots=True,
+        )
+        campaign.run()
+        clean = campaign.fork_site("cea", 0, budget_watts=3000.0)
+        # A live entry a reader would take: the retained blob's config
+        # and fingerprint, but a simulation that cannot be advanced.
+        config = campaign.sites[0]
+        trap = site_module._LiveSite(
+            config, state_fingerprint(campaign.snapshots["cea"][0]), None,
+        )
+        site_module._LIVE["cea"] = trap
+        try:
+            fork = campaign.fork_site("cea", 0, budget_watts=3000.0)
+            campaign.score_budgets("cea", 0, [2000.0, float("inf")])
+            assert site_module._LIVE == {"cea": trap}
+        finally:
+            site_module.release_live_sites()
+        assert fork == clean
+
+    def test_inline_cache_empty_after_run(self, monkeypatch):
+        self._campaign(workers=1).run()
+        assert site_module._LIVE == {}
+
+        def failing(task):
+            if task.epoch == 1 and task.config.slug == "stfc":
+                raise RuntimeError("site lost")
+            return site_module.advance_site(task)
+
+        monkeypatch.setattr(campaign_module, "advance_site", failing)
+        with pytest.raises(ExecutorError):
+            self._campaign(workers=1).run()
+        assert site_module._LIVE == {}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_attempt_retries_from_the_blob(self, monkeypatch, tmp_path,
+                                                  restores, workers):
+        # One site's epoch-1 advance raises once, after its live copy
+        # was taken and run forward; the retry must restore from the
+        # blob, not continue the half-advanced copy.
+        resident = self._campaign(workers=1).run()
+        real = site_module._epoch_series
+
+        def flaky(sim_obj, start, end):
+            if start == self.EPOCH:
+                try:
+                    (tmp_path / "raised").touch(exist_ok=False)
+                except FileExistsError:
+                    pass
+                else:
+                    raise RuntimeError("lost the report")
+            return real(sim_obj, start, end)
+
+        monkeypatch.setattr(site_module, "_epoch_series", flaky)
+        retried = self._campaign(workers=workers).run()
+        assert retried.fingerprint == resident.fingerprint
+        if workers == 1:
+            assert len(restores) == 1

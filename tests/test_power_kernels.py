@@ -22,26 +22,40 @@ from repro.power.vector import STATE_CODES, VectorPowerMirror
 def random_mirror(seed: int, n: int = 96) -> VectorPowerMirror:
     """A mirror whose SoA columns cover every kernel branch: all six
     states, finite and +inf caps (including caps below idle power),
-    heterogeneous variability, clamped frequencies, zero utilization."""
+    heterogeneous variability, clamped frequencies, zero utilization.
+
+    The randomness goes into the nodes, which the mirror reads when it
+    is built; utilization has no node field (it comes from the bound
+    job), so it is written into the mirror column directly.
+    """
     rng = np.random.default_rng(seed)
     machine = Machine(MachineSpec(name="k", nodes=n, nodes_per_cabinet=8))
+    states = list(STATE_CODES)
+    for node in machine.nodes:
+        node.state = states[int(rng.integers(len(states)))]
+        node.variability = float(rng.uniform(0.9, 1.1))
+        node.frequency = float(
+            rng.uniform(node.min_frequency, node.max_frequency)
+        )
+        kind = rng.integers(3)
+        if kind == 1:  # binding: between idle and peak draw
+            node.power_cap = float(
+                rng.uniform(node.idle_power, node.max_power)
+            )
+        elif kind == 2:  # below idle (set past the setter's guard)
+            node.power_cap = float(rng.uniform(0.8, 1.0) * node.idle_power)
     mirror = VectorPowerMirror(machine, NodePowerModel())
-    mirror.state_code[:] = rng.integers(0, 6, size=n).astype(np.int8)
-    mirror.variability[:] = rng.uniform(0.9, 1.1, size=n)
     mirror.utilization[:] = np.where(
         rng.random(n) < 0.2, 0.0, rng.uniform(0.2, 1.0, size=n)
     )
-    mirror.frequency[:] = rng.uniform(
-        mirror.min_frequency, mirror.max_frequency
-    )
-    cap = np.full(n, np.inf)
-    capped = rng.random(n) < 0.5
-    cap[capped] = rng.uniform(
-        0.8 * mirror.idle_power[capped],  # some caps below idle power
-        1.1 * mirror.max_power[capped],
-    )
-    mirror.power_cap[:] = cap
-    mirror.invalidate()
+    # The branches are really there.
+    assert set(mirror.state_code.tolist()) == set(STATE_CODES.values())
+    capped = np.isfinite(mirror.power_cap)
+    assert capped.any() and not capped.all()
+    assert (mirror.power_cap < mirror.idle_power).any()
+    assert (mirror.variability != 1.0).all()
+    assert (mirror.frequency < mirror.max_frequency).any()
+    assert (mirror.utilization == 0.0).any()
     return mirror
 
 

@@ -218,6 +218,32 @@ class TestMirrorAccounting:
         csim.power_vector.force_resum()
         assert csim.machine_power() == pytest.approx(incremental)
 
+    def test_peek_reads_the_fold_without_writing_it(self):
+        machine = Machine(MachineSpec(name="m", nodes=16, nodes_per_cabinet=4))
+        csim = ClusterSimulation(machine, FcfsScheduler(), [])
+        mirror = csim.power_vector
+
+        def cache():
+            return (mirror._watts.copy(), mirror._total,
+                    set(mirror._dirty), mirror._all_dirty)
+
+        def same(a, b):
+            return (np.array_equal(a[0], b[0]) and a[1:] == b[1:])
+
+        # Full re-sum, clean, a dirty subset, then half the rows dirty.
+        steps = [
+            lambda: None,
+            lambda: None,
+            lambda: csim.rm.set_power_cap(machine.nodes[:3], 150.0),
+            lambda: csim.rm.shutdown_nodes(machine.nodes[4:12]),
+        ]
+        for step in steps:
+            step()
+            before = cache()
+            peeked = mirror.peek_watts()
+            assert same(cache(), before)
+            assert mirror.machine_watts() == peeked  # bitwise
+
 
 def seeded_workload(count: int = 60):
     spec = WorkloadSpec(
