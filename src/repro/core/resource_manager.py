@@ -220,17 +220,6 @@ class ResourceManager:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def idle_nodes_longer_than(self, threshold: float) -> List[Node]:
-        """IDLE nodes whose idle time exceeds *threshold* seconds."""
-        now = self.sim.now
-        return [
-            n
-            for n in self.machine.nodes
-            if n.state is NodeState.IDLE
-            and n.idle_since is not None
-            and now - n.idle_since >= threshold
-        ]
-
     def off_nodes(self) -> List[Node]:
         """Nodes currently OFF (candidates for booting)."""
         return self.machine.nodes_in_state(NodeState.OFF)

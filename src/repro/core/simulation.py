@@ -31,7 +31,7 @@ from ..cluster.site import Site
 from ..errors import ConfigurationError, SchedulingError
 from ..power.meter import PowerMeter
 from ..power.model import NodePowerModel
-from ..power.vector import STATE_CODES, LifecycleView, VectorPowerMirror
+from ..power.vector import STATE_CODES, VectorPowerMirror
 from ..simulator.engine import EventHandle, Simulator
 from ..simulator.events import EventPriority
 from ..simulator.rng import RngStreams
@@ -218,10 +218,6 @@ class ClusterSimulation:
         self._started_count = 0
         self._terminal_count = 0
         self._prepared = False
-        #: True while :meth:`run_batched` is driving the event loop;
-        #: routes policy ticks through ``on_tick_batch`` with an SoA
-        #: lifecycle view instead of the scalar ``on_tick``.
-        self._batched = False
         # Incremental machine power accounting.  A node's draw depends
         # only on its state/cap/frequency/variability and the (static)
         # intensity of the job bound to it — never on time directly —
@@ -330,20 +326,8 @@ class ClusterSimulation:
 
     def _policy_tick(self, policy: Policy) -> None:
         """Periodic control tick for one policy (bound method so the
-        state subsystem can capture pending ticks).
-
-        Under :meth:`run_batched` the tick routes through
-        ``on_tick_batch`` with a lifecycle view; the two hooks are
-        pinned decision-identical by the replay-equivalence suite.
-        """
-        if self._batched:
-            policy.on_tick_batch(self.sim.now, self.lifecycle_view())
-        else:
-            policy.on_tick(self.sim.now)
-
-    def lifecycle_view(self) -> LifecycleView:
-        """SoA lifecycle view of the machine at the current instant."""
-        return self.power_vector.lifecycle_view(self.sim.now)
+        state subsystem can capture pending ticks)."""
+        policy.on_tick(self.sim.now)
 
     # ------------------------------------------------------------------
     # Power accounting
@@ -1061,71 +1045,4 @@ class ClusterSimulation:
                         unfinished=len(self.jobs) - self._terminal_count,
                     )
                     break
-        return self.finalize()
-
-    def run_batched(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-        stall_timeout: float = 30.0 * 86400.0,
-    ) -> SimulationResult:
-        """Batched twin of :meth:`run`: same contract, same results.
-
-        Drives the engine through
-        :meth:`~repro.simulator.engine.Simulator.run_batched` (same-
-        instant event cohorts dispatched without per-event heap
-        traffic) and routes policy ticks through ``on_tick_batch`` with
-        an SoA lifecycle view.  Pinned event-for-event replay-identical
-        to :meth:`run` by the ``repro.state`` first-divergence harness;
-        the stop closure below replicates the stepped loop's terminal,
-        max-events and stall checks at the same points (after each
-        fired event ≡ before the next step).
-        """
-        self.prepare()
-        self._batched = True
-        # Flush the trace's deferred-emit buffer once per drained
-        # cohort: every event at a timestamp lands in one indexing
-        # pass while the cohort is cache-warm, instead of whenever the
-        # 8k threshold happens to trip mid-cohort.
-        if self.trace.enabled:
-            self.sim.cohort_hook = self.trace.flush_cohort
-        try:
-            if until is not None:
-                self.sim.run_batched(until=until, max_events=max_events)
-            else:
-                fired = 0
-                last_progress_count = -1
-                last_progress_time = self.sim.now
-
-                def stop() -> bool:
-                    # Called once before the first event (the stepped
-                    # loop's initial while-test) and after every fired
-                    # event thereafter.
-                    nonlocal fired, last_progress_count, last_progress_time
-                    fired += 1
-                    if fired == 1:
-                        return self.all_jobs_terminal
-                    if max_events is not None and fired - 1 >= max_events:
-                        raise SchedulingError(
-                            f"exceeded max_events={max_events}; "
-                            f"runaway simulation?"
-                        )
-                    if self.all_jobs_terminal:
-                        return True
-                    progress = self.progress_count
-                    if progress != last_progress_count:
-                        last_progress_count = progress
-                        last_progress_time = self.sim.now
-                    elif self.sim.now - last_progress_time > stall_timeout:
-                        self.trace.emit(
-                            self.sim.now, "sim.stall",
-                            unfinished=len(self.jobs) - self._terminal_count,
-                        )
-                        return True
-                    return False
-
-                self.sim.run_batched(stop=stop)
-        finally:
-            self._batched = False
-            self.sim.cohort_hook = None
         return self.finalize()

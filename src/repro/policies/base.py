@@ -104,20 +104,6 @@ class Policy:
     def on_tick(self, now: float) -> None:
         """Periodic control loop (only if ``control_interval`` set)."""
 
-    def on_tick_batch(self, now: float, view) -> None:
-        """Batched-run twin of :meth:`on_tick`.
-
-        ``ClusterSimulation.run_batched`` routes policy ticks here,
-        passing a :class:`~repro.power.vector.LifecycleView` (SoA
-        arrays over the machine).  Overrides must stay *decision- and
-        arithmetic-identical* to ``on_tick`` — batched runs are pinned
-        replay-identical to stepped runs by the ``repro.state``
-        harness, so even float accumulation order matters for any
-        value that ends up in a snapshot.  Default: delegate to the
-        scalar hook.
-        """
-        self.on_tick(now)
-
     # ------------------------------------------------------------------
     # Shared actuation
     # ------------------------------------------------------------------

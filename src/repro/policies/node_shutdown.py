@@ -16,7 +16,7 @@ from ..cluster.node import NodeState
 from ..core.epa import FunctionalCategory
 from ..power.vector import STATE_CODES
 from ..units import check_non_negative, check_positive
-from .base import Policy, _idle_rank
+from .base import Policy
 
 _IDLE = STATE_CODES[NodeState.IDLE]
 _BOOTING = STATE_CODES[NodeState.BOOTING]
@@ -56,60 +56,35 @@ class IdleShutdownPolicy(Policy):
         return sum(job.nodes for job in pending[:16])
 
     def on_tick(self, now: float) -> None:
-        machine = self.simulation.machine
-        rm = self.simulation.rm
+        """Boot OFF nodes on a queue deficit, else shut down surplus
+        long-idle nodes.
+
+        Counts and candidates come off the simulation's power mirror:
+        state counts are O(1), boot picks are OFF rows in node-id
+        order, and shutdown picks are idle rows ranked longest-idle
+        first, node id breaking ties.  ``energy_saved_estimate``
+        accumulates node by node in that order (it is captured in
+        ``repro.state`` snapshots, so summation order matters).
+        """
+        simulation = self.simulation
+        mirror = simulation.power_vector
+        nodes = simulation.machine.nodes
+        rm = simulation.rm
         demand = self._queue_demand()
-        idle = machine.nodes_in_state(NodeState.IDLE)
-        booting = machine.nodes_in_state(NodeState.BOOTING)
-        supply = len(idle) + len(booting)
+        idle = mirror.count_in_state(_IDLE)
+        supply = idle + mirror.count_in_state(_BOOTING)
 
         if demand > supply:
             deficit = demand - supply
-            off = sorted(rm.off_nodes(), key=lambda n: n.node_id)
-            rm.boot_nodes(off[:deficit])
+            rm.boot_nodes([nodes[row] for row in mirror.off_rows()[:deficit]])
             return
 
         # Shut down surplus long-idle nodes, preserving the spare margin.
         keep = demand + self.min_spare
-        surplus = len(idle) - keep
+        surplus = idle - keep
         if surplus <= 0:
             return
-        candidates = rm.idle_nodes_longer_than(self.idle_threshold)
-        # Longest-idle first.  ``idle_since or 0.0`` would conflate a
-        # node idle since t=0 with one that has no idle timestamp; rank
-        # timestamped nodes first, oldest timestamp winning, node id
-        # breaking ties.
-        candidates.sort(key=_idle_rank)
-        to_stop = candidates[:surplus]
-        for node in to_stop:
-            self.energy_saved_estimate += node.idle_power * self.control_interval
-        rm.shutdown_nodes(to_stop)
-
-    def on_tick_batch(self, now: float, view) -> None:
-        """SoA twin of :meth:`on_tick` for batched runs.
-
-        Decision-identical to the scalar hook: counts come off the
-        state-code array, candidate ranking is a lexsort on the same
-        ``(idle_since, node_id)`` key, and ``energy_saved_estimate``
-        accumulates in the same sequential order (it is captured in
-        ``repro.state`` snapshots, so even summation order matters).
-        """
-        rm = self.simulation.rm
-        demand = self._queue_demand()
-        supply = view.count_in_state(_IDLE) + view.count_in_state(_BOOTING)
-
-        if demand > supply:
-            deficit = demand - supply
-            nodes = view.nodes
-            rm.boot_nodes([nodes[row] for row in view.off_rows()[:deficit]])
-            return
-
-        keep = demand + self.min_spare
-        surplus = view.count_in_state(_IDLE) - keep
-        if surplus <= 0:
-            return
-        rows = view.idle_candidate_rows(self.idle_threshold)[:surplus]
-        nodes = view.nodes
+        rows = mirror.idle_candidate_rows(now, self.idle_threshold)[:surplus]
         to_stop = [nodes[row] for row in rows]
         for node in to_stop:
             self.energy_saved_estimate += node.idle_power * self.control_interval

@@ -47,7 +47,7 @@ floating-point drift).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from ..cluster.node import NodeState
 from . import kernels
 from .model import NodePowerModel
 
-__all__ = ["LifecycleView", "OperatingPoints", "VectorPowerMirror", "STATE_CODES"]
+__all__ = ["OperatingPoints", "VectorPowerMirror", "STATE_CODES"]
 
 #: NodeState -> small-int code used in the state-code array.
 STATE_CODES: Dict[NodeState, int] = {
@@ -94,73 +94,6 @@ class OperatingPoints:
     frequency_ratio: np.ndarray
     speed: np.ndarray
     cap_violated: np.ndarray
-
-
-@dataclass(frozen=True)
-class LifecycleView:
-    """Read-only SoA view of the node lifecycle for batch-aware policy
-    ticks (:meth:`repro.policies.base.Policy.on_tick_batch`).
-
-    Rows are ``machine.nodes`` positions, same as the power arrays.
-    The arrays are the mirror's own (no copies): treat them as
-    immutable and never hold them across events.
-    """
-
-    now: float
-    node_id: np.ndarray
-    state_code: np.ndarray
-    #: Seconds-since-epoch a node went idle; NaN where the node has no
-    #: idle timestamp (``Node.idle_since is None``).
-    idle_since: np.ndarray
-    #: Jobs bound to each node (0 or 1 under whole-node allocation).
-    bound_jobs: np.ndarray
-    idle_power: np.ndarray
-    nodes: Sequence  # row -> Node, for materializing picks
-    #: Per-state-code node counts frozen at view creation (the mirror
-    #: maintains them incrementally, so reading one is O(1), not O(N)).
-    state_counts: tuple = ()
-    #: True when row order == node-id order (the common case): ordered
-    #: candidate kernels can then skip their id sorts entirely.
-    ids_monotone: bool = False
-
-    def count_in_state(self, code: int) -> int:
-        """Number of nodes whose state code equals *code*."""
-        if self.state_counts:
-            return self.state_counts[code]
-        return int(np.count_nonzero(self.state_code == code))
-
-    def idle_candidate_rows(self, threshold: float) -> np.ndarray:
-        """Rows idle for at least *threshold* seconds at ``self.now``,
-        ordered by ``(idle_since, node_id)`` — the vector twin of
-        sorting ``ResourceManager.idle_nodes_longer_than`` output by
-        the longest-idle-first policy key.  NaN ``idle_since`` rows
-        (no idle timestamp) never qualify, mirroring the scalar
-        ``None`` guard."""
-        idle_since = self.idle_since
-        with np.errstate(invalid="ignore"):
-            mask = (self.state_code == _IDLE) & (
-                self.now - idle_since >= threshold
-            )
-        rows = np.flatnonzero(mask)
-        if rows.size > 1:
-            if self.ids_monotone:
-                # flatnonzero rows are already id-ordered; a stable
-                # sort on idle_since alone yields the same
-                # (idle_since, node_id) order with one key.
-                order = np.argsort(idle_since[rows], kind="stable")
-            else:
-                order = np.lexsort((self.node_id[rows], idle_since[rows]))
-            rows = rows[order]
-        return rows
-
-    def off_rows(self) -> np.ndarray:
-        """Rows currently OFF, ordered by node id — the vector twin of
-        ``sorted(rm.off_nodes(), key=lambda n: n.node_id)``."""
-        rows = np.flatnonzero(self.state_code == _OFF)
-        if rows.size > 1 and not self.ids_monotone:
-            order = np.argsort(self.node_id[rows], kind="stable")
-            rows = rows[order]
-        return rows
 
 
 class VectorPowerMirror:
@@ -520,32 +453,41 @@ class VectorPowerMirror:
         return self._watts.copy()
 
     # ------------------------------------------------------------------
-    # Lifecycle kernels (batch policy helpers)
+    # Lifecycle kernels (policy tick helpers)
     # ------------------------------------------------------------------
-    def lifecycle_view(self, now: float) -> LifecycleView:
-        """SoA lifecycle snapshot handed to ``Policy.on_tick_batch``."""
-        return LifecycleView(
-            now=now,
-            node_id=self.node_id,
-            state_code=self.state_code,
-            idle_since=self.idle_since,
-            bound_jobs=self.bound_jobs,
-            idle_power=self.idle_power,
-            nodes=self._nodes,
-            state_counts=tuple(self._state_counts),
-            ids_monotone=self._ids_monotone,
-        )
+    def count_in_state(self, code: int) -> int:
+        """Number of nodes whose state code equals *code*.  O(1): the
+        counts are maintained incrementally."""
+        return self._state_counts[code]
 
     def idle_candidate_rows(self, now: float, threshold: float) -> np.ndarray:
-        """Rows idle for at least *threshold* seconds, ordered by
-        ``(idle_since, node_id)``; see
-        :meth:`LifecycleView.idle_candidate_rows`."""
-        return self.lifecycle_view(now).idle_candidate_rows(threshold)
+        """Rows idle for at least *threshold* seconds at *now*, ordered
+        by ``(idle_since, node_id)`` — longest idle first, node id
+        breaking ties.  NaN ``idle_since`` rows (no idle timestamp)
+        never qualify, mirroring the scalar ``None`` guard."""
+        idle_since = self.idle_since
+        with np.errstate(invalid="ignore"):
+            mask = (self.state_code == _IDLE) & (now - idle_since >= threshold)
+        rows = np.flatnonzero(mask)
+        if rows.size > 1:
+            if self._ids_monotone:
+                # flatnonzero rows are already id-ordered; a stable
+                # sort on idle_since alone yields the same
+                # (idle_since, node_id) order with one key.
+                order = np.argsort(idle_since[rows], kind="stable")
+            else:
+                order = np.lexsort((self.node_id[rows], idle_since[rows]))
+            rows = rows[order]
+        return rows
 
     def off_rows(self) -> np.ndarray:
-        """Rows currently OFF, ordered by node id; see
-        :meth:`LifecycleView.off_rows`."""
-        return self.lifecycle_view(0.0).off_rows()
+        """Rows currently OFF, ordered by node id — the vector twin of
+        ``sorted(rm.off_nodes(), key=lambda n: n.node_id)``."""
+        rows = np.flatnonzero(self.state_code == _OFF)
+        if rows.size > 1 and not self._ids_monotone:
+            order = np.argsort(self.node_id[rows], kind="stable")
+            rows = rows[order]
+        return rows
 
     # ------------------------------------------------------------------
     # Prediction kernels (policy helpers)

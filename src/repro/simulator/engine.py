@@ -10,26 +10,15 @@ and periodic callbacks.  Determinism guarantees:
 * the clock never moves backwards — scheduling strictly in the past
   raises :class:`~repro.errors.EventOrderError`.
 
-Two execution paths share those guarantees:
-
-* :meth:`Simulator.step` / :meth:`Simulator.run` — the executable
-  spec: one heap pop per event;
-* :meth:`Simulator.run_batched` — drains the whole same-timestamp
-  cohort in one pass, grouping events into priority-tier buckets.
-  Events scheduled *at the current instant* from inside the batch
-  (the schedule-pass-at-now pattern) go straight into the buckets and
-  never touch the heap.  The dispatch order — ``(time, priority,
-  seq)`` with tier preemption when a batch event schedules a
-  lower-tier same-instant event — is event-for-event identical to
-  ``step()``-by-``step()`` execution, pinned by the property suite
-  and the ``repro.state`` first-divergence harness.
+One execution path: :meth:`Simulator.step` / :meth:`Simulator.run`
+fire one event per heap pop.  Every production caller, the state
+subsystem's checkpoint/replay and the engine benches drive it.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import insort
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 from ..errors import EventOrderError, SimulationError
 from .events import Event, EventPriority
@@ -70,11 +59,6 @@ class EventHandle:
         sim = self._sim
         if sim is not None:
             sim._live -= 1
-            if event.in_bucket:
-                # The event sits in a run_batched() same-instant bucket,
-                # not the heap: the dispatcher skips it in place, so it
-                # must not enter the heap tombstone accounting.
-                return
             sim._tombstones += 1
             sim._maybe_compact()
 
@@ -196,25 +180,10 @@ class Simulator:
         # heap itself grew without bound.
         self._live = 0
         self._tombstones = 0
-        # Same-instant dispatch buckets for run_batched(): priority ->
-        # FIFO list of events at the current instant, plus the sorted
-        # active priorities and per-bucket consumed positions.  Only
-        # populated while run_batched() is dispatching one cohort; any
-        # early exit flushes survivors back into the heap.
-        self._in_batch = False
-        self._buckets: Dict[int, List[Event]] = {}
-        self._bucket_order: List[int] = []
-        self._bucket_pos: Dict[int, int] = {}
         #: Optional hook invoked as ``observer(event)`` after each event
         #: fires (post-state).  Used by repro.state.replay to record
         #: per-event fingerprint streams without perturbing ordering.
         self.observer: Optional[Callable[[Event], None]] = None
-        #: Optional zero-argument hook invoked by :meth:`run_batched`
-        #: once per drained cohort, after every event at that timestamp
-        #: has fired.  Observability sinks use it to materialize their
-        #: per-event deferred buffers in one batch per cohort instead
-        #: of one call per event; it must not schedule events.
-        self.cohort_hook: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------------
     # Clock
@@ -251,10 +220,7 @@ class Simulator:
         events have a strict total order (time, priority, seq), so the
         pop sequence of a heap depends only on its multiset of events,
         not on their internal arrangement.  The compaction mutates the
-        heap list *in place* — ``run_batched`` holds a reference to it
-        across fired actions, and rebinding would silently orphan that
-        alias (events scheduled after a mid-batch compaction would land
-        in a heap the dispatch loop never reads).
+        heap list *in place*, so any alias of it stays valid.
         """
         if (
             self._tombstones > self._COMPACT_MIN_TOMBSTONES
@@ -284,15 +250,7 @@ class Simulator:
             )
         event = Event(float(time), int(priority), self._seq, action, args, name)
         self._seq += 1
-        if self._in_batch and event.time == self._now:
-            # Same-instant event scheduled from inside a batch: it
-            # belongs to the cohort being dispatched, so it goes
-            # straight into the priority buckets and never pays the
-            # heap round-trip.  FIFO within a bucket is automatic —
-            # seq numbers are monotone and appends happen in seq order.
-            self._enqueue_bucket(event)
-        else:
-            heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, event)
         self._live += 1
         return EventHandle(event, self)
 
@@ -349,13 +307,9 @@ class Simulator:
         """Live (pending, not cancelled) events in firing order.
 
         Sorted by the event total order ``(time, priority, seq)`` —
-        exactly the order :meth:`step` would pop them.  Includes events
-        currently parked in same-instant batch buckets (only possible
-        when called from inside a :meth:`run_batched` event).
+        exactly the order :meth:`step` would pop them.
         """
         live = [e for e in self._heap if not e.cancelled]
-        for q in self._buckets.values():
-            live.extend(e for e in q if not e.cancelled and not e.done)
         live.sort()
         return live
 
@@ -371,15 +325,7 @@ class Simulator:
         for event in self._heap:
             event.cancelled = True
             event.done = True
-        for q in self._buckets.values():
-            for event in q:
-                event.cancelled = True
-                event.done = True
-                event.in_bucket = False
         self._heap.clear()
-        self._buckets.clear()
-        self._bucket_order.clear()
-        self._bucket_pos.clear()
         self._live = 0
         self._tombstones = 0
 
@@ -509,167 +455,5 @@ class Simulator:
             if until is not None and until > self._now:
                 self._now = float(until)
         finally:
-            self._running = False
-        return self._now
-
-    # ------------------------------------------------------------------
-    # Batched execution
-    # ------------------------------------------------------------------
-    def _enqueue_bucket(self, event: Event) -> None:
-        """Park *event* in its same-instant priority bucket."""
-        event.in_bucket = True
-        q = self._buckets.get(event.priority)
-        if q is None:
-            self._buckets[event.priority] = [event]
-            insort(self._bucket_order, event.priority)
-        else:
-            q.append(event)
-
-    def _flush_buckets(self) -> None:
-        """Push undispatched bucket events back into the heap (early
-        exit from run_batched: stop condition, max_events, or an
-        exception inside an action).  Cancelled stragglers are dropped
-        outright — their cancel never entered the heap tombstone
-        counters, so nothing needs rebalancing."""
-        if not self._buckets:
-            return
-        for p, q in self._buckets.items():
-            for event in q[self._bucket_pos.get(p, 0):]:
-                event.in_bucket = False
-                if not event.cancelled and not event.done:
-                    heapq.heappush(self._heap, event)
-        self._buckets.clear()
-        self._bucket_order.clear()
-        self._bucket_pos.clear()
-
-    def _fire(self, event: Event, fired: int, max_events: Optional[int]) -> int:
-        """Execute one live event (shared by both batch paths)."""
-        event.done = True
-        self._live -= 1
-        self._events_fired += 1
-        event.action(*event.args)
-        if self.observer is not None:
-            self.observer(event)
-        fired += 1
-        if max_events is not None and fired >= max_events:
-            raise SimulationError(
-                f"exceeded max_events={max_events}; runaway simulation?"
-            )
-        return fired
-
-    def run_batched(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-        stop: Optional[Callable[[], bool]] = None,
-    ) -> float:
-        """Run the event loop, draining same-timestamp cohorts in bulk.
-
-        Event-for-event identical to :meth:`run` — same firing order,
-        same observer stream, same counters — but each cohort of
-        events at one timestamp is pulled off the heap in a single
-        drain and dispatched through per-priority FIFO buckets:
-
-        * events scheduled *at the current instant* from inside the
-          cohort (coalesced schedule passes, control reactions) append
-          to the buckets directly and never pay a heap push/pop;
-        * a batch event scheduling a *lower*-tier same-instant event
-          preempts the remaining higher-tier events, exactly as the
-          heap order ``(time, priority, seq)`` demands;
-        * an event cancelled by an earlier event in its own cohort is
-          skipped in place.
-
-        Timestamps with a single pending event (sparse replay regions)
-        bypass the bucket machinery entirely.
-
-        Parameters match :meth:`run`, plus *stop*: an optional
-        zero-argument callable checked before the first event and
-        after every fired event; returning True ends the run
-        immediately (undispatched cohort events are flushed back into
-        the heap, so a later ``run``/``step`` continues correctly).
-
-        If :attr:`cohort_hook` is set when the run starts, it is
-        invoked once after each fully dispatched cohort (it is *not*
-        called on an early exit mid-cohort — callers flush their sinks
-        after the run returns).
-        """
-        if self._running:
-            raise SimulationError("simulator is not reentrant")
-        self._running = True
-        self._in_batch = True
-        fired = 0
-        heap = self._heap
-        buckets = self._buckets
-        order = self._bucket_order
-        pos = self._bucket_pos
-        hook = self.cohort_hook
-        try:
-            if stop is not None and stop():
-                return self._now
-            while True:
-                # Next live cohort time.
-                while heap and heap[0].cancelled:
-                    heapq.heappop(heap)
-                    self._tombstones -= 1
-                if not heap:
-                    break
-                t = heap[0].time
-                if until is not None and t > until:
-                    break
-                self._now = t
-                first = heapq.heappop(heap)
-                if not heap or heap[0].time != t:
-                    # Singleton fast path: no bucket bookkeeping.  Any
-                    # same-instant events the action schedules land in
-                    # the buckets and are dispatched below.
-                    fired = self._fire(first, fired, max_events)
-                    if stop is not None and stop():
-                        return self._now
-                    if not order:
-                        if hook is not None:
-                            hook()
-                        continue
-                else:
-                    self._enqueue_bucket(first)
-                    while heap and heap[0].time == t:
-                        ev = heapq.heappop(heap)
-                        if ev.cancelled:
-                            self._tombstones -= 1
-                            continue
-                        self._enqueue_bucket(ev)
-                # Dispatch tier by tier.  New same-instant events keep
-                # appending while we iterate; a lower tier appearing
-                # mid-bucket preempts (heap order would fire it first).
-                while order:
-                    p = order[0]
-                    q = buckets[p]
-                    i = pos.get(p, 0)
-                    preempted = False
-                    while i < len(q):
-                        ev = q[i]
-                        i += 1
-                        if ev.cancelled:
-                            ev.in_bucket = False
-                            continue
-                        ev.in_bucket = False
-                        fired = self._fire(ev, fired, max_events)
-                        if stop is not None and stop():
-                            pos[p] = i
-                            return self._now
-                        if order[0] != p:
-                            pos[p] = i
-                            preempted = True
-                            break
-                    if not preempted:
-                        del buckets[p]
-                        pos.pop(p, None)
-                        order.remove(p)
-                if hook is not None:
-                    hook()
-            if until is not None and until > self._now:
-                self._now = float(until)
-        finally:
-            self._flush_buckets()
-            self._in_batch = False
             self._running = False
         return self._now

@@ -48,7 +48,7 @@ class Event:
 
     ``slots=True`` matters here: the engine allocates and compares one
     Event per scheduled callback, so dropping the per-instance dict
-    shrinks the hot loop on both execution paths.
+    shrinks the hot loop.
     """
 
     time: float
@@ -62,9 +62,6 @@ class Event:
     #: Lets a late cancel() (e.g. from within the event's own action)
     #: be a no-op for the engine's live/tombstone bookkeeping.
     done: bool = field(compare=False, default=False)
-    #: True while the event sits in a run_batched() same-instant bucket
-    #: instead of the heap (cancellation accounting differs there).
-    in_bucket: bool = field(compare=False, default=False)
 
     def fire(self) -> None:
         """Invoke the callback unless the event was cancelled."""

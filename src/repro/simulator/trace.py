@@ -147,9 +147,9 @@ class TraceRecorder:
         """Record many same-timestamp events under one *category*.
 
         One list-extend for the whole batch when no subscribers are
-        live — the cohort-batched emitters (bulk node transitions,
-        batched lifecycle ticks) use this so a thousand-node boot
-        costs one Python call, not a thousand.  Each payload dict is
+        live — the cohort-batched emitters (bulk node transitions) use
+        this so a thousand-node boot costs one Python call, not a
+        thousand.  Each payload dict is
         stored as passed (not copied); callers hand over ownership.
         Record order matches the iteration order of *payloads*,
         exactly as the equivalent :meth:`emit` loop would produce.
@@ -163,17 +163,6 @@ class TraceRecorder:
             return
         for data in payloads:
             self.emit(time, category, **data)
-
-    def flush_cohort(self) -> None:
-        """Materialize any deferred records now.
-
-        Public hook for :attr:`Simulator.cohort_hook`: invoked once
-        per drained cohort so batched runs index each cohort's records
-        in one pass while they are still cache-warm, instead of paying
-        one large deferred flush at an arbitrary later query.  Safe to
-        call at any time (idempotent when nothing is pending).
-        """
-        self._flush()
 
     def _flush(self) -> None:
         """Materialize the pending buffer into storage and buckets."""

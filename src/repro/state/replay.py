@@ -5,8 +5,7 @@ A :class:`RunRecorder` hooks the engine's observer to record a
 perturbing it (the fingerprint probe reads state but never flushes
 caches).  :func:`replay_from` restores a checkpoint, re-runs it with
 the same recorder, and reports the first diverging event — turning
-"the restored run is bit-identical" and "the batched loop matches the
-stepped loop" into generic, debuggable checks.
+"the restored run is bit-identical" into a generic, debuggable check.
 
 :func:`lockstep_divergence` drives two simulations event-by-event in
 lockstep and, at the first fingerprint mismatch, snapshots both sides

@@ -287,10 +287,6 @@ class TestEndToEndEquivalence:
             step_until(bulk, cut)
             assert sim_fingerprint(bulk) == expected, cut
 
-    def test_batched_run_matches(self):
-        got = result_fingerprint(churn_sim().run_batched())
-        assert got == PINNED_RESULTS["easy", "low-power"]
-
     def test_provisioning_policy_equivalent(self):
         sim_obj = churn_sim(seed=29)
         sim_obj.add_policy(

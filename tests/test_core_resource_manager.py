@@ -102,17 +102,6 @@ class TestPowerControl:
 
 
 class TestQueries:
-    def test_idle_longer_than(self, rm_setup):
-        sim, rm, machine, _, _ = rm_setup
-        machine.node(0).assign("j", 0.0)
-        sim.at(100.0, lambda: machine.node(0).release(100.0))
-        sim.run()
-        # Node 0 idle since 100; others since 0.
-        sim._now = 150.0  # advance clock directly for the query
-        longer = rm.idle_nodes_longer_than(100.0)
-        assert machine.node(0) not in longer
-        assert len(longer) == 15
-
     def test_off_nodes(self, rm_setup):
         sim, rm, machine, _, _ = rm_setup
         rm.shutdown_node(machine.node(3))

@@ -92,7 +92,7 @@ class TestIdleShutdown:
         for node in machine.nodes[:4]:
             node.assign("warm", 0.0)
             node.release(50.0)
-        sim.run_batched(until=400.0)
+        sim.run(until=400.0)
         # Surplus = 12 (16 idle - min_spare 4): the twelve t=0 nodes
         # are the oldest candidates and shut down first, keeping the
         # t=50 nodes as the spare margin.

@@ -141,10 +141,10 @@ class TestApplyTransition:
         assert state.tolist() == [idle, busy, idle, idle, busy, idle, busy, idle]
         assert bound.tolist() == [0, 1, 0, 0, 1, 0, 1, 0]
         assert np.isnan(idle_since[rows]).all()
-        assert mirror.lifecycle_view(10.0).count_in_state(busy) == 3
+        assert mirror.count_in_state(busy) == 3
         mirror.transition_rows(rows, idle, 42.0)
         assert state[rows].tolist() == [idle] * 3
         assert idle_since[rows].tolist() == [42.0, 42.0, 42.0]
         assert bound.sum() == 0
-        assert mirror.lifecycle_view(42.0).count_in_state(busy) == 0
+        assert mirror.count_in_state(busy) == 0
 

@@ -396,14 +396,12 @@ class TestLifecycleArrays:
         )
         assert len(rows) == 3
 
-    def test_lifecycle_view_counts(self):
+    def test_count_in_state(self):
         from repro.cluster import NodeState as NS
         from repro.power.vector import STATE_CODES
         csim, machine = self._sim()
         csim.rm.shutdown_nodes(machine.nodes[:3])
         csim.sim.run(until=1e4)
-        view = csim.lifecycle_view()
-        assert view is not None
-        assert view.now == csim.sim.now
-        assert view.count_in_state(STATE_CODES[NS.OFF]) == 3
-        assert view.count_in_state(STATE_CODES[NS.IDLE]) == 13
+        mirror = csim.power_vector
+        assert mirror.count_in_state(STATE_CODES[NS.OFF]) == 3
+        assert mirror.count_in_state(STATE_CODES[NS.IDLE]) == 13

@@ -80,23 +80,16 @@ _collide_spec = st.tuples(
 )
 
 
-def _populate(sim, specs, log, reactions, cancels):
-    """Schedule *specs*; event i appends to *log* and may react.
-
-    ``reactions[i]`` (when present) schedules a same-instant event of
-    the given tier from inside event i — the pattern run_batched()
-    routes through its buckets.  ``cancels[i]`` (when present) cancels
-    the handle of a later event j from inside event i.
+def _populate(sim, specs, log, cancels):
+    """Schedule *specs*; event i appends to *log* and, when
+    ``cancels[i]`` is present, cancels the handle of event j from
+    inside event i.
     """
     handles = {}
 
     def make_action(i):
         def action():
             log.append(("fire", i, sim.now))
-            rp = reactions.get(i)
-            if rp is not None:
-                sim.at(sim.now, lambda: log.append(("react", i, sim.now)),
-                       priority=rp)
             j = cancels.get(i)
             if j is not None:
                 handles[j].cancel()
@@ -107,45 +100,16 @@ def _populate(sim, specs, log, reactions, cancels):
     return handles
 
 
-class TestBatchedEquivalence:
-    """run_batched() is event-for-event identical to run()."""
-
-    @given(st.lists(_collide_spec, max_size=60), st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_same_firing_sequence(self, specs, data):
-        reactions = {}
-        cancels = {}
-        if specs:
-            idx = st.integers(0, len(specs) - 1)
-            for i in data.draw(st.sets(idx, max_size=10)):
-                reactions[i] = data.draw(st.sampled_from(
-                    [EventPriority.STATE, EventPriority.MONITOR,
-                     EventPriority.CONTROL, EventPriority.REPORT]))
-            for i in data.draw(st.sets(idx, max_size=10)):
-                j = data.draw(idx)
-                if j != i:
-                    cancels[i] = j
-
-        log_step, log_batch = [], []
-        a = Simulator()
-        _populate(a, specs, log_step, reactions, cancels)
-        while a.step():
-            pass
-        b = Simulator()
-        _populate(b, specs, log_batch, reactions, cancels)
-        b.run_batched()
-        assert log_batch == log_step
-        assert b.events_fired == a.events_fired
-        assert b.pending == a.pending == 0
-        assert b.now == a.now
+class TestSameInstantDispatch:
+    """Same-instant cohorts under run(): tier order, FIFO, cancels."""
 
     @given(st.lists(_collide_spec, min_size=1, max_size=60))
     @settings(max_examples=100, deadline=None)
     def test_tier_order_and_fifo_within_tier(self, specs):
         sim = Simulator()
         log = []
-        _populate(sim, specs, log, {}, {})
-        sim.run_batched()
+        _populate(sim, specs, log, {})
+        sim.run()
         # (time, tier, insertion order) non-decreasing: tiers dispatch
         # STATE -> MONITOR -> CONTROL -> REPORT and FIFO inside a tier.
         keys = [(t, int(specs[i][1]), i) for kind, i, t in log]
@@ -153,10 +117,10 @@ class TestBatchedEquivalence:
 
     @given(st.lists(_collide_spec, min_size=2, max_size=40), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_in_batch_cancellation_counters(self, specs, data):
-        # An event cancelling a later event in its own cohort: the
-        # victim never fires, live drops to zero, and no tombstone is
-        # left behind.
+    def test_same_instant_cancellation_counters(self, specs, data):
+        # An event cancelling another event (often at its own instant):
+        # the victim never fires after its canceller, live drops to
+        # zero, and no tombstone is left behind.
         idx = st.integers(0, len(specs) - 1)
         cancels = {}
         for i in data.draw(st.sets(idx, max_size=8)):
@@ -165,8 +129,8 @@ class TestBatchedEquivalence:
                 cancels[i] = j
         sim = Simulator()
         log = []
-        _populate(sim, specs, log, {}, cancels)
-        sim.run_batched()
+        _populate(sim, specs, log, cancels)
+        sim.run()
         fired = {i for kind, i, t in log if kind == "fire"}
         for i, j in cancels.items():
             if i in fired:

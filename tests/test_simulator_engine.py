@@ -127,6 +127,56 @@ class TestRun:
         with pytest.raises(SimulationError):
             sim.run()
 
+    def test_same_instant_schedule_fires_after_earlier_same_tier(self, sim):
+        order = []
+
+        def control():
+            order.append("control")
+            sim.at(sim.now, lambda: order.append("reaction"),
+                   priority=EventPriority.REPORT)
+
+        sim.at(1.0, control, priority=EventPriority.CONTROL)
+        sim.at(1.0, lambda: order.append("report"),
+               priority=EventPriority.REPORT)
+        sim.run()
+        # FIFO within the REPORT tier: the pre-scheduled report has the
+        # lower seq.
+        assert order == ["control", "report", "reaction"]
+
+    def test_lower_tier_same_instant_event_fires_first(self, sim):
+        order = []
+
+        def control_a():
+            order.append("control_a")
+            sim.at(sim.now, lambda: order.append("state"),
+                   priority=EventPriority.STATE)
+
+        sim.at(1.0, control_a, priority=EventPriority.CONTROL)
+        sim.at(1.0, lambda: order.append("control_b"),
+               priority=EventPriority.CONTROL)
+        sim.run()
+        # Heap order (time, priority, seq): the STATE event outranks
+        # the remaining CONTROL event and must fire between them.
+        assert order == ["control_a", "state", "control_b"]
+
+    def test_cancel_later_same_instant_event(self, sim):
+        order = []
+        handles = {}
+
+        def canceller():
+            order.append("canceller")
+            handles["victim"].cancel()
+
+        sim.at(1.0, canceller, priority=EventPriority.STATE)
+        handles["victim"] = sim.at(1.0, lambda: order.append("victim"),
+                                   priority=EventPriority.CONTROL)
+        sim.at(1.0, lambda: order.append("survivor"),
+               priority=EventPriority.REPORT)
+        sim.run()
+        assert order == ["canceller", "survivor"]
+        assert sim.pending == 0
+        assert sim.events_fired == 2
+
 
 class TestPeriodic:
     def test_every_fires_at_interval(self, sim):
@@ -272,6 +322,33 @@ class TestHeapHygiene:
         assert ticks == [10.0, 20.0, 30.0]
         assert sim.pending == 0
 
+    def test_compaction_mid_run_keeps_heap_alive(self, sim):
+        # A fired action cancels enough future events to trigger
+        # tombstone compaction, then schedules new work.  The run loop
+        # must keep seeing the (compacted) heap — the follow-up event
+        # and surviving victims all still fire.
+        fired = []
+        victims = [
+            sim.at(100.0, lambda i=i: fired.append(("victim", i)))
+            for i in range(40)
+        ]
+
+        def churn():
+            fired.append(("churn", sim.now))
+            for handle in victims[:30]:
+                handle.cancel()
+            sim.at(50.0, lambda: fired.append(("late", sim.now)))
+
+        sim.at(0.0, churn)
+        sim.run()
+        assert sim._tombstones == 0  # compaction really ran
+        assert ("late", 50.0) in fired
+        assert [f for f in fired if f[0] == "victim"] == [
+            ("victim", i) for i in range(30, 40)
+        ]
+        assert sim.pending == 0 and sim.heap_size == 0
+        assert sim.events_fired == 12  # churn + late + 10 survivors
+
 
 class TestPeriodicChainCorrectness:
     """Regression tests: chain exhaustion and phase-locked grids."""
@@ -322,177 +399,3 @@ class TestPeriodicChainCorrectness:
         sim.run(until=50.0)
         assert times[0] == 3.0 + 0.1
         assert times[100] == 3.1 + 0.1 * 100
-
-
-class TestRunBatched:
-    """Unit tests for the cohort-dispatch execution path."""
-
-    def test_fires_everything_in_order(self, sim):
-        order = []
-        sim.at(1.0, lambda: order.append("c"), priority=EventPriority.CONTROL)
-        sim.at(1.0, lambda: order.append("s"), priority=EventPriority.STATE)
-        sim.at(1.0, lambda: order.append("m"), priority=EventPriority.MONITOR)
-        sim.at(2.0, lambda: order.append("late"))
-        sim.run_batched()
-        assert order == ["s", "m", "c", "late"]
-        assert sim.now == 2.0
-        assert sim.pending == 0
-
-    def test_same_instant_schedule_joins_cohort(self, sim):
-        order = []
-
-        def control():
-            order.append("control")
-            sim.at(sim.now, lambda: order.append("reaction"),
-                   priority=EventPriority.REPORT)
-
-        sim.at(1.0, control, priority=EventPriority.CONTROL)
-        sim.at(1.0, lambda: order.append("report"),
-               priority=EventPriority.REPORT)
-        sim.run_batched()
-        # FIFO within the REPORT tier: the pre-scheduled report has the
-        # lower seq.
-        assert order == ["control", "report", "reaction"]
-
-    def test_lower_tier_event_preempts_batch(self, sim):
-        order = []
-
-        def control_a():
-            order.append("control_a")
-            sim.at(sim.now, lambda: order.append("state"),
-                   priority=EventPriority.STATE)
-
-        sim.at(1.0, control_a, priority=EventPriority.CONTROL)
-        sim.at(1.0, lambda: order.append("control_b"),
-               priority=EventPriority.CONTROL)
-        sim.run_batched()
-        # Heap order (time, priority, seq): the STATE event outranks
-        # the remaining CONTROL event and must fire between them.
-        assert order == ["control_a", "state", "control_b"]
-
-    def test_cancel_later_event_in_own_batch(self, sim):
-        order = []
-        handles = {}
-
-        def canceller():
-            order.append("canceller")
-            handles["victim"].cancel()
-
-        sim.at(1.0, canceller, priority=EventPriority.STATE)
-        handles["victim"] = sim.at(1.0, lambda: order.append("victim"),
-                                   priority=EventPriority.CONTROL)
-        sim.at(1.0, lambda: order.append("survivor"),
-               priority=EventPriority.REPORT)
-        sim.run_batched()
-        assert order == ["canceller", "survivor"]
-        assert sim.pending == 0
-        assert sim.events_fired == 2
-
-    def test_until_advances_clock_exactly(self, sim):
-        sim.at(1.0, lambda: None)
-        sim.at(20.0, lambda: None)
-        assert sim.run_batched(until=10.0) == 10.0
-        assert sim.events_fired == 1
-        sim.run_batched()
-        assert sim.events_fired == 2
-
-    def test_max_events_guard(self, sim):
-        def reschedule():
-            sim.after(1.0, reschedule)
-
-        sim.at(0.0, reschedule)
-        with pytest.raises(SimulationError):
-            sim.run_batched(max_events=100)
-
-    def test_not_reentrant(self, sim):
-        def inner():
-            sim.run_batched()
-
-        sim.at(1.0, inner)
-        with pytest.raises(SimulationError):
-            sim.run_batched()
-
-    def test_stop_mid_batch_preserves_rest_of_cohort(self, sim):
-        order = []
-        for i in range(5):
-            sim.at(1.0, lambda i=i: order.append(i))
-        sim.run_batched(stop=lambda: len(order) >= 2)
-        assert order == [0, 1]
-        assert sim.pending == 3
-        # The survivors went back to the heap; a plain stepped run
-        # continues exactly where the batch left off.
-        sim.run()
-        assert order == [0, 1, 2, 3, 4]
-
-    def test_stop_before_first_event(self, sim):
-        fired = []
-        sim.at(1.0, lambda: fired.append(1))
-        sim.run_batched(stop=lambda: True)
-        assert fired == []
-        assert sim.pending == 1
-
-    def test_exception_mid_batch_flushes_survivors(self, sim):
-        order = []
-
-        def boom():
-            order.append("boom")
-            raise RuntimeError("action failed")
-
-        sim.at(1.0, lambda: order.append("first"))
-        sim.at(1.0, boom)
-        sim.at(1.0, lambda: order.append("last"))
-        with pytest.raises(RuntimeError):
-            sim.run_batched()
-        assert order == ["first", "boom"]
-        assert sim.pending == 1
-        sim.run()
-        assert order == ["first", "boom", "last"]
-
-    def test_counters_match_stepped_run(self, sim):
-        a = Simulator()
-        b = Simulator()
-        for s in (a, b):
-            for i in range(10):
-                s.at(1.0, lambda: None, priority=EventPriority.CONTROL)
-            h = [s.at(1.0, lambda: None) for _ in range(4)]
-            for handle in h[:2]:
-                handle.cancel()
-            s.every(5.0, lambda: None, until=50.0)
-        a.run(until=60.0)
-        b.run_batched(until=60.0)
-        assert a.events_fired == b.events_fired
-        assert a.pending == b.pending == 0
-        assert a.now == b.now
-
-    def test_periodic_chains_run_batched(self, sim):
-        times = []
-        sim.every(10.0, lambda: times.append(sim.now), until=45.0)
-        sim.run_batched(until=100.0)
-        assert times == [10.0, 20.0, 30.0, 40.0]
-
-    def test_compaction_mid_batch_keeps_heap_alive(self, sim):
-        # Regression: a fired action cancels enough future events to
-        # trigger tombstone compaction, then schedules new work.  The
-        # dispatch loop must keep seeing the (compacted) heap — the
-        # follow-up event and surviving victims all still fire.
-        fired = []
-        victims = [
-            sim.at(100.0, lambda i=i: fired.append(("victim", i)))
-            for i in range(40)
-        ]
-
-        def churn():
-            fired.append(("churn", sim.now))
-            for handle in victims[:30]:
-                handle.cancel()
-            sim.at(50.0, lambda: fired.append(("late", sim.now)))
-
-        sim.at(0.0, churn)
-        sim.run_batched()
-        assert sim._tombstones == 0  # compaction really ran
-        assert ("late", 50.0) in fired
-        assert [f for f in fired if f[0] == "victim"] == [
-            ("victim", i) for i in range(30, 40)
-        ]
-        assert sim.pending == 0 and sim.heap_size == 0
-        assert sim.events_fired == 12  # churn + late + 10 survivors

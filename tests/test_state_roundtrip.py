@@ -13,6 +13,7 @@ import pytest
 
 from repro.cluster import NodeState
 from repro.errors import StateError
+from repro.simulator.engine import PeriodicChain
 from repro.state import (
     diff_states,
     light_fingerprint,
@@ -186,3 +187,81 @@ class TestGuards:
         assert a == b
         fresh = build_small()
         assert fresh.rng.stream("probe").random(5).tolist() != a
+
+
+SCENARIOS = {
+    "small-fcfs": lambda: build_small(scheduler="fcfs"),
+    "small-easy": lambda: build_small(scheduler="easy"),
+    "rich": build_rich,
+}
+
+#: ``result_fingerprint`` of each scenario's run, recorded when the
+#: per-node power spec still ran alongside and matched it exactly.
+PINNED_RESULTS = {
+    "small-fcfs":
+        "b592539a728d0b10dda8de1ce1a73c711b0fc85a344bbfebeee09dd63a0e92d3",
+    "small-easy":
+        "c22ce07369c8f93afae75d3910608b446a1847de8e8cd67476940ea3e1e579ac",
+    "rich":
+        "8009315343d8610b83a4777aa4d48864b615665e62252455cfc40b7dccee90ba",
+}
+
+
+class TestPinnedScenarios:
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_result_fingerprint_pinned(self, name):
+        result = SCENARIOS[name]().run()
+        assert result_fingerprint(result) == PINNED_RESULTS[name]
+
+    def test_idle_shutdown_tick_effects_pinned(self):
+        # build_rich carries IdleShutdownPolicy.  Its tick ranks
+        # candidates on the power mirror's SoA columns; the boots,
+        # shutdowns and accumulated estimate were recorded from the
+        # per-node scan it replaced.
+        sim = build_rich()
+        sim.run()
+        assert sim.rm.boots_initiated == 25
+        assert sim.rm.shutdowns_initiated == 41
+        assert sim.policies[1].energy_saved_estimate == 246000.0
+
+
+def _chain_grids(sim_obj):
+    """(name -> (epoch, index, interval, next_time)) for pending chains."""
+    grids = {}
+    for event in sim_obj.sim.iter_live_events():
+        action = event.action
+        owner = getattr(action, "__self__", None)
+        if isinstance(owner, PeriodicChain):
+            grids[owner.name] = (
+                owner.epoch, owner.index, owner.interval, event.time
+            )
+    return grids
+
+
+class TestRestoredChainGrid:
+    def test_restored_chains_keep_phase_locked_grid(self):
+        sim_obj = step_until(build_small(), 700.0)
+        original = _chain_grids(sim_obj)
+        assert original  # meter + schedule-retry at minimum
+        restored = restore(snapshot(sim_obj), build_small)
+        assert _chain_grids(restored) == original
+
+    def test_restored_chain_future_firings_match_original(self):
+        # Restore a mid-run snapshot, advance original and restored in
+        # lockstep, and compare the chains' grids tick by tick.
+        ref = build_small()
+        step_until(ref, 700.0)
+        state = snapshot(ref)
+        ref_grid = _chain_grids(ref)
+
+        restored = restore(state, build_small)
+        for _ in range(200):
+            ref.sim.step()
+            restored.sim.step()
+        assert _chain_grids(restored) == _chain_grids(ref)
+        # And the grid stayed phase-locked to the original epoch.
+        for name, (epoch, index, interval, next_time) in _chain_grids(
+            restored
+        ).items():
+            assert next_time == epoch + index * interval
+            assert ref_grid[name][0] == epoch
