@@ -20,9 +20,9 @@ from repro.core import (
     ConservativeBackfillScheduler,
     SchedulingContext,
 )
-from repro.core.reference_backfill import ReferenceConservativeBackfillScheduler
 from repro.core.scheduler import RunningJobInfo
 from repro.workload import Job
+from tests.backfill_oracles import ReferenceConservativeBackfillScheduler
 
 from .conftest import bench_machine, write_artifact
 

@@ -18,10 +18,6 @@ from .scheduler import (
 )
 from .profile import FreeNodeProfile
 from .backfill import ConservativeBackfillScheduler, EasyBackfillScheduler
-from .reference_backfill import (
-    ReferenceConservativeBackfillScheduler,
-    ReferenceEasyBackfillScheduler,
-)
 from .allocator import (
     Allocator,
     FirstFitAllocator,
@@ -54,8 +50,6 @@ __all__ = [
     "FcfsScheduler",
     "FreeNodeProfile",
     "NodePool",
-    "ReferenceConservativeBackfillScheduler",
-    "ReferenceEasyBackfillScheduler",
     "FirstFitAllocator",
     "PredictiveEasyScheduler",
     "RuntimeLearningPolicy",

@@ -16,178 +16,171 @@ walltime, which keeps reservations sound even under power capping
 slowdowns.
 
 Both schedulers plan on a :class:`~repro.core.profile.FreeNodeProfile`
-— an incrementally maintained step function of free nodes over time —
-instead of re-deriving the profile from a raw delta dict per candidate
-start.  That turns conservative backfill from ~O(P·T³) into O(P·T) at
-queue depth P with T profile breakpoints, while producing decisions
-identical to the seed implementations preserved in
-:mod:`repro.core.reference_backfill` (enforced by property tests).
+— a step function of free nodes over time — instead of re-deriving
+the profile from a raw delta dict per candidate start, and read the
+queue as the ``(nodes, walltime)`` columns of
+``ctx.pending_arrays``.  Their decisions are identical to the seed
+delta-dict schedulers, which live on as test oracles in
+``tests/backfill_oracles.py`` (enforced by property tests).
 
-Batched passes
---------------
-When the owning simulation hands over the queue as SoA columns
-(``ctx.pending_arrays``, the :class:`~repro.core.jobtable.JobTable`
-gather) *and* guarantees that the admission predicate is vacuous
-(``ctx.trivial_admit`` — zero policies attached), both schedulers
-switch from the per-job hook-visiting loop to whole-queue-slice
-passes:
+One pass, and where admission is called
+---------------------------------------
+Each scheduler has one ``schedule`` body.  ``ctx.admit`` is the EPA
+admission gate (Figure 1's resource-control component): policies
+count vetoes and stamp estimates on jobs, so every scheduler calls it
+on exactly the jobs, and in exactly the order, the seed loops did.
+``ctx.admit is None`` means no policy is attached; the passes then
+skip the call and may screen harder.
 
-* EASY screens phase 1 with one ``cumsum``/``searchsorted`` (the first
-  in-order failure) and phase 3 with a feasibility mask, visiting only
-  jobs that could possibly start.
-* Conservative plans the whole queue through one
-  :func:`repro.power.kernels.plan_conservative_np` call with a
-  saturation early-stop, and carries the planned profile across
-  passes: while the cluster
-  state and queue prefix are unchanged and no reservation has matured,
-  a pass is either an O(log T) *defer* (still saturated — nothing can
-  start) or a catch-up over just the newly submitted tail.
-
-Both fast paths are decision-for-decision identical to the reference
-loops: reservations beyond the early stop are pass-local scratch that
-no caller can observe, and skipped ``admit`` calls are vacuous by the
-``trivial_admit`` contract.  Any policy — even one that always admits
-— forces the reference path, preserving hook visit order.
+* EASY phase 1 finds the first job that does not fit with one
+  ``cumsum``/``searchsorted`` over the node column, then admits jobs
+  in order up to it and stops at the first veto.  Phase 3 screens the
+  tail on ``nodes <= free`` (the only test that guards the seed's
+  admit call) and, with no admission, also on the shadow/spare test;
+  the walk re-checks the shrinking pool before admitting, so the mask
+  only over-approximates the start set.  Below ``_SCREEN_MIN_JOBS``
+  pending jobs both screens are plain walks over the same columns.
+* Conservative admits every job that could ever run (``nodes <=
+  capacity``) in queue order up front — the seed's call sequence —
+  and plans the whole queue through one
+  :func:`repro.power.kernels.plan_conservative_np` call that starts
+  only admitted jobs, with a saturation early-stop.  With no
+  admission it carries the planned profile across passes: while the
+  cluster state and queue prefix are unchanged and no reservation has
+  matured, a pass is either an O(log T) *defer* (still saturated —
+  nothing can start) or a catch-up over just the newly submitted
+  tail.  Reservations beyond the early stop are pass-local scratch
+  that no caller can observe.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..power import kernels
+from ..workload.job import Job
 from .profile import FreeNodeProfile
 from .scheduler import Scheduler, SchedulingContext, StartDecision
 
-# Re-exported for prediction-assisted schedulers (fairshare module)
-# that run the EASY arithmetic over predicted runtimes.
-from .reference_backfill import _earliest_fit, _release_profile  # noqa: F401
 
-#: Queue depth below which EASY's array screens cost more than the
-#: plain loop they replace (a handful of numpy dispatches vs a walk
-#: over a few jobs).  Purely a performance threshold — both paths
-#: make identical decisions.
-_EASY_BATCH_MIN_JOBS = 64
+#: Queue depth below which EASY walks the queue instead of screening
+#: it with array operations: on a shallow queue the handful of numpy
+#: dispatches cost more than the walk they replace.  Purely a
+#: performance threshold — both ways call ``admit`` on the same jobs
+#: and make the same decisions.
+_SCREEN_MIN_JOBS = 64
 
 
 class EasyBackfillScheduler(Scheduler):
-    """EASY (aggressive) backfilling: one reservation for the head job."""
+    """EASY (aggressive) backfilling: one reservation for the head job.
+
+    Subclasses change the packing math through two hooks:
+    :meth:`_estimates` (runtime estimate of each queued job) and
+    :meth:`_running_releases` (when running jobs free their nodes).
+    """
 
     name = "easy"
 
     def schedule(self, ctx: SchedulingContext) -> List[StartDecision]:
-        arrays = ctx.pending_arrays
-        if (
-            not ctx.trivial_admit
-            or arrays is None
-            or arrays[0].shape[0] < _EASY_BATCH_MIN_JOBS
-        ):
-            return self._schedule_reference(ctx)
-        return self._schedule_batched(ctx, arrays)
-
-    def _schedule_reference(
-        self, ctx: SchedulingContext
-    ) -> List[StartDecision]:
         self.allocator.begin_pass(ctx.now)
         decisions: List[StartDecision] = []
-        pool = self._make_pool(ctx)
-        pending = list(ctx.pending)
-
-        # Phase 1: start jobs in order while they fit and are admitted.
-        blocked_idx = None
-        for i, job in enumerate(pending):
-            if job.nodes <= len(pool) and ctx.admit(job):
-                decisions.append(
-                    StartDecision(job, self._grant(ctx, job, pool))
-                )
-            else:
-                blocked_idx = i
-                break
-        if blocked_idx is None:
-            return decisions
-
-        head = pending[blocked_idx]
-        shadow, spare = self._shadow_and_spare(ctx, decisions, pool, head)
-
-        # Phase 3: backfill later jobs.
-        for job in pending[blocked_idx + 1 :]:
-            if job.nodes > len(pool) or not ctx.admit(job):
-                continue
-            ends_before_shadow = ctx.now + job.walltime_request <= shadow
-            fits_spare = job.nodes <= spare
-            if ends_before_shadow or fits_spare:
-                nodes = self._grant(ctx, job, pool)
-                if not ends_before_shadow:
-                    spare -= job.nodes
-                decisions.append(StartDecision(job, nodes))
-        return decisions
-
-    def _schedule_batched(
-        self,
-        ctx: SchedulingContext,
-        arrays: Tuple[np.ndarray, np.ndarray],
-    ) -> List[StartDecision]:
-        """Reference pass with the two queue walks screened by arrays;
-        decisions are identical (see the module docstring)."""
-        self.allocator.begin_pass(ctx.now)
-        decisions: List[StartDecision] = []
-        nodes_a, wall_a = arrays
-        m = int(nodes_a.shape[0])
+        pending = ctx.pending
+        m = len(pending)
         if m == 0:
             return decisions
+        nodes_a, wall_a = ctx.pending_arrays
+        admit = ctx.admit
         pool = self._make_pool(ctx)
-        pending = ctx.pending
+        screen = m >= _SCREEN_MIN_JOBS
 
-        # Phase 1 screen: job i starts iff every prior job did and
-        # cumulative demand still fits, so the first in-order failure
-        # is one searchsorted over the running demand sum.
-        csum = np.cumsum(nodes_a)
-        blocked_idx = int(csum.searchsorted(len(pool), side="right"))
+        # Phase 1: start jobs in order while they fit and are admitted.
+        # Job i fits iff every prior job started and cumulative demand
+        # still fits, so the first misfit is the first prefix sum above
+        # the pool; admission is consulted up to it only.
+        if screen:
+            blocked_idx = int(
+                np.cumsum(nodes_a).searchsorted(len(pool), side="right")
+            )
+        else:
+            blocked_idx, free = m, len(pool)
+            for i, nodes in enumerate(nodes_a.tolist()):
+                free -= nodes
+                if free < 0:
+                    blocked_idx = i
+                    break
         for i in range(blocked_idx):
             job = pending[i]
+            if admit is not None and not admit(job):
+                blocked_idx = i
+                break
             decisions.append(StartDecision(job, self._grant(ctx, job, pool)))
         if blocked_idx >= m:
             return decisions
 
         head = pending[blocked_idx]
-        shadow, spare = self._shadow_and_spare(ctx, decisions, pool, head)
+        est = self._estimates(pending, wall_a)
+        shadow, spare = self._shadow_and_spare(ctx, decisions, est, pool, head)
 
-        # Phase 3 screen: the reference walk only shrinks the pool and
-        # the spare count, so a mask built from their *initial* values
-        # over-approximates the start set — every masked-out job would
-        # fail the in-loop checks too.  The loop re-checks dynamically.
-        tail_nodes = nodes_a[blocked_idx + 1 :]
-        tail_ends = ctx.now + wall_a[blocked_idx + 1 :]
-        mask = (tail_nodes <= len(pool)) & (
-            (tail_ends <= shadow) | (tail_nodes <= spare)
-        )
-        for k in np.flatnonzero(mask).tolist():
-            job = pending[blocked_idx + 1 + k]
+        # Phase 3: backfill later jobs.  The walk only shrinks the pool
+        # and the spare count, so a mask over their initial values
+        # over-approximates the start set; the loop re-checks both.  A
+        # shallow queue skips the mask and walks every tail job.
+        now = ctx.now
+        lo = blocked_idx + 1
+        if screen:
+            tail_nodes = nodes_a[lo:]
+            mask = tail_nodes <= len(pool)
+            if admit is None:
+                mask &= (now + est[lo:] <= shadow) | (tail_nodes <= spare)
+            candidates = np.flatnonzero(mask).tolist()
+        else:
+            candidates = range(m - lo)
+        runtimes = est[lo:].tolist()
+        for k in candidates:
+            job = pending[lo + k]
             if job.nodes > len(pool):
                 continue
-            ends_before_shadow = ctx.now + job.walltime_request <= shadow
-            fits_spare = job.nodes <= spare
-            if ends_before_shadow or fits_spare:
+            if admit is not None and not admit(job):
+                continue
+            ends_before_shadow = now + runtimes[k] <= shadow
+            if ends_before_shadow or job.nodes <= spare:
                 nodes = self._grant(ctx, job, pool)
                 if not ends_before_shadow:
                     spare -= job.nodes
                 decisions.append(StartDecision(job, nodes))
         return decisions
 
-    def _shadow_and_spare(self, ctx, decisions, pool, head):
+    def _estimates(self, pending: Sequence[Job], wall: np.ndarray) -> np.ndarray:
+        """Runtime estimate per queued job, aligned with *pending*: the
+        walltime request (a hard bound — jobs are killed there)."""
+        return wall
+
+    def _running_releases(
+        self, ctx: SchedulingContext
+    ) -> List[Tuple[float, int]]:
+        """``(time, nodes)`` at which each running job frees its nodes:
+        its walltime bound."""
+        return [(info.expected_end, len(info.node_ids)) for info in ctx.running]
+
+    def _shadow_and_spare(self, ctx, decisions, est, pool, head):
         """Phase 2: the blocked head's shadow time and spare nodes,
-        off the release profile.  Origin -inf keeps stale (sub-now)
-        release estimates as explicit breakpoints, matching the seed's
-        raw release walk; equal-time releases merge into one breakpoint
-        (the seed's duplicate-entry list was only cumulative by
-        accident of the walk order)."""
-        profile = FreeNodeProfile.from_releases(
-            float("-inf"),
-            len(pool),
-            self._release_events(ctx, decisions),
+        off the release profile of running jobs plus this pass's
+        grants (``decisions`` are ``pending[:len(decisions)]``; granted
+        nodes count as busy until their estimate).  Origin -inf keeps
+        stale (sub-now) release estimates as explicit breakpoints,
+        matching the seed's raw release walk; equal-time releases
+        merge into one breakpoint (the seed's duplicate-entry list was
+        only cumulative by accident of the walk order)."""
+        now = ctx.now
+        events = self._running_releases(ctx)
+        events.extend(
+            (now + runtime, len(d.nodes))
+            for runtime, d in zip(est[: len(decisions)].tolist(), decisions)
         )
-        shadow = profile.earliest_at_least(head.nodes, ctx.now)
+        profile = FreeNodeProfile.from_releases(float("-inf"), len(pool), events)
+        shadow = profile.earliest_at_least(head.nodes, now)
         if shadow is None:
             shadow = float("inf")
             # Head can never fit (larger than capacity horizon or only
@@ -196,25 +189,11 @@ class EasyBackfillScheduler(Scheduler):
             if head.nodes <= ctx.usable_node_count:
                 # Blocked by admission (e.g. power): be conservative,
                 # allow only jobs that fit in currently spare nodes.
-                shadow = ctx.now
+                shadow = now
 
         # Spare nodes at shadow time: free nodes at shadow minus head's.
         spare = max(0, profile.free_at(shadow) - head.nodes)
         return shadow, spare
-
-    @staticmethod
-    def _release_events(
-        ctx: SchedulingContext, decisions: List[StartDecision]
-    ) -> List[Tuple[float, int]]:
-        """Release events from running jobs plus this round's grants
-        (granted nodes count as busy until their walltime)."""
-        events = [
-            (info.expected_end, len(info.node_ids)) for info in ctx.running
-        ]
-        events.extend(
-            (ctx.now + d.job.walltime_request, len(d.nodes)) for d in decisions
-        )
-        return events
 
 
 class _PassCache:
@@ -245,13 +224,12 @@ class ConservativeBackfillScheduler(Scheduler):
     jobs planned to start *now* are actually started.  Planning uses
     walltime estimates, so no earlier-reserved job is ever delayed.
 
-    The profile lives in a :class:`FreeNodeProfile` built once per
-    pass; each reservation is an incremental subtraction over its
-    ``[start, end)`` window and each earliest-slot search is a single
-    sliding-window-minimum walk.  Under the batched contract (see the
-    module docstring) the whole pass runs through one
-    :func:`repro.power.kernels.plan_conservative_np` call and the planned
-    profile is cached across passes.
+    The whole pass runs through one
+    :func:`repro.power.kernels.plan_conservative_np` call over the
+    profile arrays: each reservation is a slice subtraction over its
+    ``[start, end)`` window and each earliest-slot search one skip
+    scan.  With no admission attached the planned profile is carried
+    across passes (see the module docstring).
     """
 
     name = "conservative"
@@ -260,12 +238,12 @@ class ConservativeBackfillScheduler(Scheduler):
     #: out of per-instance state capture, and tests flip them on the
     #: instance.  When ``capture_reservations`` is set, each pass
     #: stores its reserve-call sequence (``(start, end, nodes)`` in
-    #: call order) in ``last_reservations``; batched passes record the
-    #: kernel's reservations (from the resume point on catch-up).
+    #: call order) in ``last_reservations`` (from the resume point on
+    #: a cross-pass catch-up).
     capture_reservations = False
     last_reservations: Optional[List[Tuple[float, float, int]]] = None
     #: Saturation early-stop toggle; equivalence sweeps disable it to
-    #: compare full reservation sets against the reference.
+    #: compare full reservation sets against the seed oracle.
     stop_early = True
 
     def __init__(self, allocator=None) -> None:
@@ -273,87 +251,29 @@ class ConservativeBackfillScheduler(Scheduler):
         self._cache = _PassCache()
 
     def schedule(self, ctx: SchedulingContext) -> List[StartDecision]:
-        arrays = ctx.pending_arrays
-        if not ctx.trivial_admit or arrays is None:
-            self._cache.valid = False
-            return self._schedule_reference(ctx)
-        return self._schedule_batched(ctx, arrays)
-
-    def _schedule_reference(
-        self, ctx: SchedulingContext
-    ) -> List[StartDecision]:
-        self.allocator.begin_pass(ctx.now)
-        decisions: List[StartDecision] = []
-        pool = self._make_pool(ctx)
-        now = ctx.now
-        resv = [] if self.capture_reservations else None
-
-        # Release events at or before now fold into the base count —
-        # identical to the seed's free_at() summing every delta with
-        # time <= t (the start-now guard below still checks the real
-        # pool, so folded stale estimates cannot over-start jobs).
-        profile = FreeNodeProfile.from_releases(
-            now,
-            len(pool),
-            ((info.expected_end, len(info.node_ids)) for info in ctx.running),
-        )
-        capacity = ctx.usable_node_count
-
-        for job in ctx.pending:
-            if job.nodes > capacity:
-                continue  # can never run; do not reserve
-            admitted = ctx.admit(job)
-            # Earliest profile breakpoint where the job fits for its
-            # whole duration.
-            start = profile.earliest_fit(job.nodes, job.walltime_request)
-            if start is None:
-                # No breakpoint fits the job (e.g. part of the machine
-                # is booting, so free nodes never reach its size).  The
-                # profile is constant after its last point, so check the
-                # tail: if the job fits there it can be soundly
-                # reserved, otherwise no sound reservation exists —
-                # leave the job unreserved (it is retried on later
-                # passes as nodes come up) instead of forcing one that
-                # drives the free-node profile negative and delays
-                # every reservation after it.
-                tail = profile.tail_time
-                if profile.free_at(tail) >= job.nodes:
-                    start = tail
-                else:
-                    continue
-
-            if start <= now and admitted and job.nodes <= len(pool):
-                nodes = self._grant(ctx, job, pool)
-                profile.reserve(now, now + job.walltime_request, job.nodes)
-                if resv is not None:
-                    resv.append((now, now + job.walltime_request, job.nodes))
-                decisions.append(StartDecision(job, nodes))
-            else:
-                start = max(start, now)
-                profile.reserve(start, start + job.walltime_request, job.nodes)
-                if resv is not None:
-                    resv.append(
-                        (start, start + job.walltime_request, job.nodes)
-                    )
-        if resv is not None:
-            self.last_reservations = resv
-        return decisions
-
-    def _schedule_batched(
-        self,
-        ctx: SchedulingContext,
-        arrays: Tuple[np.ndarray, np.ndarray],
-    ) -> List[StartDecision]:
         self.allocator.begin_pass(ctx.now)
         now = ctx.now
         cache = self._cache
-        nodes_a, wall_a = arrays
-        m = int(nodes_a.shape[0])
+        pending = ctx.pending
+        m = len(pending)
         if m == 0:
             cache.valid = False
             return []
+        nodes_a, wall_a = ctx.pending_arrays
         pool_len = ctx.free_count()
         capacity = ctx.usable_node_count
+        admitted = None
+        if ctx.admit is not None:
+            # Every job that can ever run is admitted or vetoed, in
+            # queue order, whether or not the plan reaches it.  The
+            # carried plan assumed no admission, so it is dropped.
+            admit = ctx.admit
+            admitted = np.fromiter(
+                (job.nodes <= capacity and admit(job) for job in pending),
+                dtype=bool,
+                count=m,
+            )
+            cache.valid = False
         releases = tuple(
             (info.expected_end, len(info.node_ids)) for info in ctx.running
         )
@@ -418,14 +338,13 @@ class ConservativeBackfillScheduler(Scheduler):
             kernels.plan_conservative_np(
                 times, free, n, nodes_a, wall_a, sfx_nodes, sfx_wall,
                 k0, now, pool_len, capacity, monotone, stop_early,
-                starts_out, resv_out,
+                admitted, starts_out, resv_out,
             )
         )
 
         decisions: List[StartDecision] = []
         if n_starts:
             pool = self._make_pool(ctx)
-            pending = ctx.pending
             for i in range(n_starts):
                 job = pending[int(starts_out[i])]
                 decisions.append(
@@ -441,7 +360,7 @@ class ConservativeBackfillScheduler(Scheduler):
                 for i in range(n_resv)
             ]
 
-        cache.valid = True
+        cache.valid = admitted is None
         cache.started = n_starts > 0
         cache.pool_len = pool_len
         cache.capacity = capacity

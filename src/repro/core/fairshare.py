@@ -14,18 +14,24 @@ Both are provided here as drop-in schedulers:
   priority order (decayed node-seconds per user);
 * :class:`PredictiveEasyScheduler` — EASY whose shadow/backfill
   arithmetic uses a runtime predictor's estimates.
+
+Both are the one EASY pass of :mod:`repro.core.backfill`: fair-share
+only reorders the queue, and prediction overrides the pass's two
+estimate hooks.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..prediction.runtime_predictor import UserRuntimePredictor
 from ..units import check_positive
 from ..workload.job import Job
-from .backfill import EasyBackfillScheduler, _earliest_fit
-from .scheduler import NodePool, SchedulingContext, StartDecision
+from .backfill import EasyBackfillScheduler
+from .scheduler import SchedulingContext, StartDecision
 
 
 class FairShareScheduler(EasyBackfillScheduler):
@@ -68,16 +74,7 @@ class FairShareScheduler(EasyBackfillScheduler):
             key=lambda j: (self.decayed_usage(j.user, ctx.now),
                            j.submit_time, j.job_id),
         )
-        reordered = SchedulingContext(
-            now=ctx.now,
-            machine=ctx.machine,
-            pending=ordered,
-            available=ctx.available,
-            running=ctx.running,
-            admit=ctx.admit,
-            usable_node_count=ctx.usable_node_count,
-        )
-        return super().schedule(reordered)
+        return super().schedule(ctx.reordered(ordered))
 
 
 class PredictiveEasyScheduler(EasyBackfillScheduler):
@@ -101,6 +98,19 @@ class PredictiveEasyScheduler(EasyBackfillScheduler):
     def _estimate(self, job: Job) -> float:
         return self.predictor.predict(job)
 
+    def _estimates(self, pending: Sequence[Job], wall: np.ndarray) -> np.ndarray:
+        return np.fromiter(
+            map(self._estimate, pending), np.float64, len(pending)
+        )
+
+    def _running_releases(
+        self, ctx: SchedulingContext
+    ) -> List[Tuple[float, int]]:
+        return [
+            (self._estimated_end(info.job, ctx.now), len(info.node_ids))
+            for info in ctx.running
+        ]
+
     def _estimated_end(self, job: Job, now: float) -> float:
         """Predicted end of a *running* job, with Tsafrir correction.
 
@@ -117,57 +127,6 @@ class PredictiveEasyScheduler(EasyBackfillScheduler):
                                     job.walltime_request)
             predicted = max(predicted, now + 1.0)
         return predicted
-
-    def schedule(self, ctx: SchedulingContext) -> List[StartDecision]:
-        decisions: List[StartDecision] = []
-        pool = NodePool(ctx.available)
-        pending = list(ctx.pending)
-
-        blocked_idx = None
-        for i, job in enumerate(pending):
-            if job.nodes <= len(pool) and ctx.admit(job):
-                nodes = self._allocate(ctx, job, pool)
-                pool.remove_ids(n.node_id for n in nodes)
-                decisions.append(StartDecision(job, nodes))
-            else:
-                blocked_idx = i
-                break
-        if blocked_idx is None:
-            return decisions
-
-        head = pending[blocked_idx]
-        # Release profile from *predicted* remaining runtimes.
-        events: dict = {}
-        for info in ctx.running:
-            predicted_end = self._estimated_end(info.job, ctx.now)
-            events[predicted_end] = events.get(predicted_end, 0) + len(info.node_ids)
-        for d in decisions:
-            end = ctx.now + self._estimate(d.job)
-            events[end] = events.get(end, 0) + len(d.nodes)
-        releases = sorted(events.items())
-
-        shadow = _earliest_fit(len(pool), releases, head.nodes, ctx.now)
-        if shadow == float("inf"):
-            shadow = ctx.now if head.nodes <= ctx.usable_node_count else float("inf")
-
-        free_at_shadow = len(pool)
-        for time, released in releases:
-            if time <= shadow:
-                free_at_shadow += released
-        spare = max(0, free_at_shadow - head.nodes)
-
-        for job in pending[blocked_idx + 1 :]:
-            if job.nodes > len(pool) or not ctx.admit(job):
-                continue
-            ends_before_shadow = ctx.now + self._estimate(job) <= shadow
-            fits_spare = job.nodes <= spare
-            if ends_before_shadow or fits_spare:
-                nodes = self._allocate(ctx, job, pool)
-                pool.remove_ids(n.node_id for n in nodes)
-                if not ends_before_shadow:
-                    spare -= job.nodes
-                decisions.append(StartDecision(job, nodes))
-        return decisions
 
 
 # ----------------------------------------------------------------------

@@ -25,10 +25,10 @@ one memmove instead of a list ``insert``):
 
 Counts are integers throughout (nodes are indivisible), so profile
 arithmetic is exact and decision-for-decision equivalent to the seed
-delta-dict implementations (see ``repro.core.reference_backfill``) and
-to the preserved list-based rewrite
-(:class:`repro.core.reference_profile.ReferenceFreeNodeProfile`, the
-oracle for the randomized equivalence sweep).
+delta-dict schedulers and to the list-based profile they were first
+rewritten on (both kept as test oracles in
+``tests/backfill_oracles.py``, pinned by randomized equivalence
+sweeps).
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ deterministic and unit-testable.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -175,8 +176,11 @@ class SchedulingContext:
         Materialized on first access when backed by a factory.
     admit:
         EPA admission predicate: policies veto job starts (power
-        budget exceeded, prediction says too hungry, ...).  Schedulers
-        must consult it before deciding to start a job.
+        budget exceeded, prediction says too hungry, ...), or ``None``
+        when no policy is attached and every job is admitted.
+        Schedulers must consult it before deciding to start a job;
+        a veto is an observable side effect (policies count them), so
+        the call sequence is part of a scheduler's contract.
     usable_node_count:
         Number of nodes that can eventually become available (powered
         or bootable, not down/maintenance) — the capacity horizon for
@@ -188,17 +192,12 @@ class SchedulingContext:
         no node-filter policies); schedulers
         build a :class:`RowPool` from it instead of a
         :class:`NodePool` when the allocator supports row selection.
-    trivial_admit:
-        True when the owning simulation has **zero** policies, so the
-        ``admit`` predicate is the vacuous ``all(() )`` and calling it
-        is unobservable.  Batched scheduler paths may then skip the
-        per-job admission call entirely; any policy (even one that
-        always admits) forces the hook-visiting reference path.
     pending_arrays:
-        Optional ``(nodes_required, walltime)`` SoA columns aligned
-        with ``pending`` (the :class:`~repro.core.jobtable.JobTable`
-        gather).  Present only when no shaping policy may rewrite jobs
-        during the pass; read-only.
+        ``(nodes_required, walltime)`` SoA columns aligned with
+        ``pending``; read-only.  The owning simulation hands over the
+        :class:`~repro.core.jobtable.JobTable` gather when no shaping
+        policy rewrites jobs; otherwise the columns are built from
+        ``pending`` on first access.
     """
 
     __slots__ = (
@@ -208,8 +207,7 @@ class SchedulingContext:
         "admit",
         "usable_node_count",
         "selection",
-        "trivial_admit",
-        "pending_arrays",
+        "_pending_arrays",
         "_available",
         "_running",
         "_available_factory",
@@ -224,13 +222,12 @@ class SchedulingContext:
         pending: List[Job],
         available: Optional[List[Node]] = None,
         running: Optional[List[RunningJobInfo]] = None,
-        admit: Callable[[Job], bool] = lambda job: True,
+        admit: Optional[Callable[[Job], bool]] = None,
         usable_node_count: int = 0,
         selection: Optional[NodeSelection] = None,
         available_factory: Optional[Callable[[], List[Node]]] = None,
         running_factory: Optional[Callable[[], List[RunningJobInfo]]] = None,
         avail_count: Optional[int] = None,
-        trivial_admit: bool = False,
         pending_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         if available is None and available_factory is None:
@@ -243,8 +240,7 @@ class SchedulingContext:
         self.admit = admit
         self.usable_node_count = usable_node_count
         self.selection = selection
-        self.trivial_admit = trivial_admit
-        self.pending_arrays = pending_arrays
+        self._pending_arrays = pending_arrays
         self._available = available
         self._available_factory = available_factory
         self._running = running if running is not None else (
@@ -272,6 +268,31 @@ class SchedulingContext:
             jobs = self._running_factory()
             self._running = jobs
         return jobs
+
+    @property
+    def pending_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(nodes_required, walltime)`` columns in ``pending`` order;
+        built from ``pending`` on first access when not handed over."""
+        arrays = self._pending_arrays
+        if arrays is None:
+            pending = self.pending
+            count = len(pending)
+            arrays = (
+                np.fromiter((j.nodes for j in pending), np.int64, count),
+                np.fromiter(
+                    (j.walltime_request for j in pending), np.float64, count
+                ),
+            )
+            self._pending_arrays = arrays
+        return arrays
+
+    def reordered(self, pending: List[Job]) -> "SchedulingContext":
+        """This snapshot with the queue in another order (same nodes,
+        running set and admission predicate)."""
+        ctx = copy.copy(self)
+        ctx.pending = pending
+        ctx._pending_arrays = None
+        return ctx
 
     def free_count(self) -> int:
         """Number of immediately usable nodes — O(1), never
@@ -365,10 +386,11 @@ class FcfsScheduler(Scheduler):
         # admit-call sequence — admission hooks count vetoes).
         pool: Optional[Union[NodePool, RowPool]] = None
         free = ctx.free_count()
+        admit = ctx.admit
         for job in ctx.pending:
             if job.nodes > (free if pool is None else len(pool)):
                 break
-            if not ctx.admit(job):
+            if admit is not None and not admit(job):
                 break
             if pool is None:
                 pool = self._make_pool(ctx)

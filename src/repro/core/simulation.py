@@ -814,9 +814,9 @@ class ClusterSimulation:
             avail_count = self._avail_count
 
         pending = self.queue.pending()
-        # SoA queue columns for batched scheduler passes — only when no
-        # shaping policy may swap job objects mid-pass (the arrays must
-        # stay aligned with ``pending``).
+        # The JobTable's SoA queue columns — only when no shaping policy
+        # swaps job objects (the arrays must stay aligned with
+        # ``pending``); otherwise the context derives them on demand.
         pending_arrays = None
         if not self._shaping_policies:
             pending_arrays = self.queue.pending_arrays()
@@ -842,8 +842,10 @@ class ClusterSimulation:
                 for e in self._executions.values()
             ]
 
-        def admit(job: Job) -> bool:
-            return all(p.admit(job, now) for p in self.policies)
+        admit = None
+        if self.policies:
+            def admit(job: Job) -> bool:
+                return all(p.admit(job, now) for p in self.policies)
 
         # Vectorized selection arrays for batch-aware allocators: only
         # when they are guaranteed to agree with the available list —
@@ -870,10 +872,6 @@ class ClusterSimulation:
             available_factory=self._available_nodes,
             running_factory=running_factory,
             avail_count=avail_count,
-            # With zero policies the admit closure above is a vacuous
-            # all() over an empty tuple: calling it is unobservable,
-            # so batched scheduler paths may compile it out.
-            trivial_admit=not self.policies,
             pending_arrays=pending_arrays,
         )
 

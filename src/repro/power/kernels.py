@@ -12,28 +12,24 @@ caller:
 * :func:`plan_conservative_np` — a whole conservative-backfill pass
   (:class:`~repro.core.backfill.ConservativeBackfillScheduler`).
 
-The ``*_py`` functions (:func:`earliest_fit_index_py`,
-:func:`plan_conservative_py`) are plain-python test oracles: nothing in
-the engine calls them, and the randomized sweeps in ``tests/`` pin each
-numpy kernel against its oracle decision for decision.  Reductions are
+Plain-python oracles for the two scans live in
+``tests/backfill_oracles.py``; the randomized sweeps in ``tests/`` pin
+each numpy kernel against its oracle decision for decision.  Reductions are
 never performed inside a kernel — totals go through ``np.sum`` on the
 caller side, so summation order is fixed by the caller.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "node_watts_np",
     "earliest_fit_index_np",
-    "earliest_fit_index_py",
     "insert_point_np",
     "plan_conservative_np",
-    "plan_conservative_py",
 ]
 
 
@@ -101,39 +97,6 @@ def node_watts_np(
 # ----------------------------------------------------------------------
 # Kernel 2: earliest-fit window scan over a reserved free-node profile
 # ----------------------------------------------------------------------
-def earliest_fit_index_py(
-    times: Sequence[float],
-    free: Sequence[int],
-    needed: int,
-    duration: float,
-) -> int:
-    """Reference implementation of the sliding-window-minimum scan:
-    index of the earliest breakpoint from which *needed* nodes stay
-    free for *duration*, or -1.  Mirrors
-    :meth:`FreeNodeProfile.earliest_fit` (non-monotone branch) with a
-    ring buffer instead of a deque.  Test oracle for
-    :func:`earliest_fit_index_np`."""
-    n = len(times)
-    win = [0] * n
-    head = 0
-    tail = 0
-    j = 0
-    for i in range(n):
-        end = times[i] + duration
-        while j < n and times[j] < end:
-            while tail > head and free[win[tail - 1]] >= free[j]:
-                tail -= 1
-            win[tail] = j
-            tail += 1
-            j += 1
-        while tail > head and win[head] < i:
-            head += 1
-        low = free[win[head]] if tail > head else free[i]
-        if low >= needed:
-            return i
-    return -1
-
-
 def earliest_fit_index_np(
     times: np.ndarray,
     free: np.ndarray,
@@ -156,8 +119,8 @@ def earliest_fit_index_np(
     this plain-python walk over ``tolist()`` data beats a vectorized
     formulation (a dozen full-array dispatches per call) by an order
     of magnitude.  Comparisons are on the same float64 values in the
-    same order, so the result is identical to
-    :func:`earliest_fit_index_py` bit for bit.
+    same order, so the result is identical to the ring-buffer
+    sliding-window-minimum walk of its test oracle bit for bit.
     """
     n = int(times.shape[0])
     if n == 0:
@@ -210,9 +173,10 @@ def insert_point_np(
 # One call plans the queue slice ``[k0, m)`` against a free-node
 # profile held in flat ``(times, free)`` arrays: earliest-fit search,
 # tail fallback, start-now test and reservation insertion per job —
-# the loop body of ``ConservativeBackfillScheduler.schedule`` with the
-# admission hook compiled out (callers only take this path when the
-# simulation has zero policies, so the hook is vacuous).
+# the seed conservative loop body.  Admission is decided by the caller
+# beforehand: ``admitted`` (or ``None`` for "every job") gates the
+# start-now test, and a vetoed job is reserved like any job that
+# cannot start now.
 #
 # Two queue-level accelerations ride along, both decision-preserving:
 #
@@ -235,103 +199,6 @@ def insert_point_np(
 # The caller guarantees array capacity for ``n + 2*(m - k0)`` profile
 # breakpoints (each planned job inserts at most two), ``starts_out``
 # of length ``m - k0`` and ``resv_out`` of shape ``(m - k0, 3)``.
-def plan_conservative_py(
-    times: np.ndarray,
-    free: np.ndarray,
-    n: int,
-    nodes_req: Sequence[int],
-    wall: Sequence[float],
-    sfx_nodes: Sequence[int],
-    sfx_wall: Sequence[float],
-    k0: int,
-    now: float,
-    pool_free: int,
-    capacity: int,
-    monotone: bool,
-    stop_early: bool,
-    starts_out: np.ndarray,
-    resv_out: np.ndarray,
-) -> Tuple[int, int, int, float, bool, int, int]:
-    """Reference implementation on python lists (bisect + list.insert),
-    mirroring :meth:`FreeNodeProfile` semantics op for op; test oracle
-    for :func:`plan_conservative_np`.  Returns
-    ``(n, planned, pool_free, minf, monotone, n_starts, n_resv)`` and
-    writes the planned profile back into ``times``/``free``."""
-    t = times[:n].tolist()
-    f = free[:n].tolist()
-    m = len(nodes_req)
-    minf = float("inf")
-    n_starts = 0
-    n_resv = 0
-    k = k0
-    while k < m:
-        if stop_early:
-            smallest = sfx_nodes[k]
-            if pool_free < smallest:
-                break
-            hi = bisect_left(t, now + sfx_wall[k])
-            if hi < 1:
-                hi = 1
-            if min(f[:hi]) < smallest:
-                break
-        nodes = nodes_req[k]
-        dur = wall[k]
-        idx_k = k
-        k += 1
-        if nodes > capacity:
-            continue  # can never run; do not reserve
-        size = len(t)
-        if monotone:
-            lo = bisect_left(f, nodes)
-            has_fit = lo < size
-            start = (t[0] if lo == 0 else t[lo]) if has_fit else 0.0
-        else:
-            idx = earliest_fit_index_py(t, f, nodes, dur)
-            has_fit = idx >= 0
-            start = t[idx] if has_fit else 0.0
-        if not has_fit:
-            # Constant-tail fallback: profile is flat after its last
-            # breakpoint (see the scheduler's tail check).
-            if f[size - 1] >= nodes:
-                start = t[size - 1]
-            else:
-                continue
-        if start <= now and nodes <= pool_free:
-            starts_out[n_starts] = idx_k
-            n_starts += 1
-            pool_free -= nodes
-            s = now
-        else:
-            s = start if start > now else now
-            if s < minf:
-                minf = s
-        e = s + dur
-        if e > s:
-            lo_i = _ensure_point_list(t, f, s)
-            hi_i = _ensure_point_list(t, f, e)
-            for i in range(lo_i, hi_i):
-                f[i] -= nodes
-            monotone = False
-        resv_out[n_resv, 0] = s
-        resv_out[n_resv, 1] = e
-        resv_out[n_resv, 2] = nodes
-        n_resv += 1
-    n = len(t)
-    times[:n] = t
-    free[:n] = f
-    return n, k, pool_free, minf, monotone, n_starts, n_resv
-
-
-def _ensure_point_list(t: list, f: list, x: float) -> int:
-    """List twin of ``FreeNodeProfile._ensure_point``."""
-    idx = bisect_left(t, x)
-    if idx < len(t) and t[idx] == x:
-        return idx
-    t.insert(idx, x)
-    f.insert(idx, f[idx - 1])
-    return idx
-
-
 def plan_conservative_np(
     times: np.ndarray,
     free: np.ndarray,
@@ -346,6 +213,7 @@ def plan_conservative_np(
     capacity: int,
     monotone: bool,
     stop_early: bool,
+    admitted: Optional[np.ndarray],
     starts_out: np.ndarray,
     resv_out: np.ndarray,
 ) -> Tuple[int, int, int, float, bool, int, int]:
@@ -355,8 +223,9 @@ def plan_conservative_np(
     :func:`insert_point_np`.  Job columns are read once via
     ``tolist()`` — per-element numpy indexing would dominate at queue
     depth (the lesson baked into :func:`earliest_fit_index_np`).
-    Same comparisons on the same float64 values as the py reference,
+    Same comparisons on the same float64 values as the py oracle,
     so results are identical bit for bit."""
+    adm = None if admitted is None else admitted.tolist()
     nodes_l = nodes_req.tolist()
     wall_l = wall.tolist()
     sfxn = sfx_nodes.tolist()
@@ -397,7 +266,11 @@ def plan_conservative_np(
                 start = float(times[n - 1])
             else:
                 continue
-        if start <= now and nodes <= pool_free:
+        if (
+            start <= now
+            and nodes <= pool_free
+            and (adm is None or adm[idx_k])
+        ):
             starts_out[n_starts] = idx_k
             n_starts += 1
             pool_free -= nodes

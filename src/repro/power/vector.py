@@ -125,10 +125,9 @@ class VectorPowerMirror:
         self.utilization = np.ones(n)
         self.sensitivity = np.ones(n)
         # Lifecycle arrays (beyond power): idle timestamps (NaN encodes
-        # "no idle timestamp", mirroring the scalar None), bound-job
-        # counts, and node ids for id-ordered candidate ranking.
+        # "no idle timestamp", mirroring the scalar None) and node ids
+        # for id-ordered candidate ranking.
         self.idle_since = np.full(n, np.nan)
-        self.bound_jobs = np.zeros(n, dtype=np.int32)
         #: Execution-slot id per row, -1 when no execution occupies the
         #: node.  The owning simulation maps slots to JobExecution
         #: objects (``ClusterSimulation._exec_slots``): membership moves
@@ -192,15 +191,6 @@ class VectorPowerMirror:
         self.power_cap[row] = np.inf if cap is None else cap
         idle_since = node.idle_since
         self.idle_since[row] = np.nan if idle_since is None else idle_since
-        # Execution membership lives in exec_slot (the simulation does
-        # not stamp ``running_job`` per node); rows touched outside a
-        # simulation (bare mirror tests, node.assign) still derive
-        # their binding from the node field.
-        self.bound_jobs[row] = (
-            1
-            if self.exec_slot[row] >= 0 or node.running_job is not None
-            else 0
-        )
 
     def touch(self, node_id: int) -> None:
         """``Node.power_listener`` entry point: resync + mark dirty."""
@@ -241,20 +231,18 @@ class VectorPowerMirror:
         sensitivity: float,
     ) -> None:
         """:meth:`bind` plus SoA execution membership: stamp *slot*
-        into ``exec_slot`` and mark the rows bound, replacing the
+        into ``exec_slot``, replacing the
         owning simulation's per-node dict/attribute loops with one
         scatter per cohort."""
         self.exec_slot[rows] = slot
-        self.bound_jobs[rows] = 1
         self.utilization[rows] = min(1.0, max(0.0, float(utilization)))
         self.sensitivity[rows] = min(1.0, max(0.0, float(sensitivity)))
         self._dirty.update(rows.tolist())
 
     def unbind_execution(self, rows: np.ndarray) -> None:
         """:meth:`unbind` plus membership teardown: clear ``exec_slot``
-        and the bound-job counts in the same scatter."""
+        in the same scatter."""
         self.exec_slot[rows] = -1
-        self.bound_jobs[rows] = 0
         self.utilization[rows] = 1.0
         self.sensitivity[rows] = 1.0
         self._dirty.update(rows.tolist())
@@ -264,18 +252,15 @@ class VectorPowerMirror:
 
         The bulk twin of per-row :meth:`touch` after
         ``Node.transition``: state codes, idle timestamps (NaN for
-        non-idle targets, mirroring the scalar ``None``), bound-job
-        counts and the incremental state-count buckets all move in one
-        scatter, and the rows join the dirty set for the next
+        non-idle targets, mirroring the scalar ``None``) and the
+        incremental state-count buckets all move in one scatter, and the rows join the dirty set for the next
         ``machine_watts`` fold.  Power-relevant fields other than state
         never change during a transition, so nothing else is re-read.
 
         Precondition (holds at every bulk call site): the scalar nodes
-        were already moved to the same target state.  Bound-job counts
-        are derived from the target code (BUSY rows are exactly the
-        execution cohorts being started), matching what
-        :meth:`refresh_row` derives from ``exec_slot`` once
-        ``bind_execution`` lands in the same event.
+        were already moved to the same target state.  Execution
+        membership (``exec_slot``) is not touched here; it moves in
+        :meth:`bind_execution` / :meth:`unbind_execution`.
         """
         counts = self._state_counts
         old_codes, old_counts = np.unique(
@@ -286,7 +271,6 @@ class VectorPowerMirror:
         counts[code] += int(rows.size)
         self.state_code[rows] = code
         self.idle_since[rows] = time if code == _IDLE else np.nan
-        self.bound_jobs[rows] = 1 if code == _BUSY else 0
         self._dirty.update(rows.tolist())
 
     def refresh_all(self) -> None:

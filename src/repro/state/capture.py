@@ -622,7 +622,6 @@ def restore(state: SimState, factory: Callable[[], Any],
     # scatter — not bind_execution — keeps the bit-exact dirty set
     # restored above untouched.
     mirror.exec_slot.fill(-1)
-    mirror.bound_jobs.fill(0)
     for entry in data["executions"]:
         job = job_by_id[entry["job_id"]]
         exec_nodes = [sim_obj.machine.node(nid) for nid in entry["node_ids"]]
@@ -637,7 +636,6 @@ def restore(state: SimState, factory: Callable[[], Any],
         execution.rows = mirror.rows_for(entry["node_ids"])
         slot = sim_obj._alloc_slot(execution)
         mirror.exec_slot[execution.rows] = slot
-        mirror.bound_jobs[execution.rows] = 1
 
     # --- meter -------------------------------------------------------
     meter = sim_obj.meter

@@ -157,7 +157,7 @@ class TestTransitionRows:
             assert bulk._state_counts == scalar._state_counts
             np.testing.assert_array_equal(bulk.state_code, scalar.state_code)
             np.testing.assert_array_equal(bulk.idle_since, scalar.idle_since)
-            np.testing.assert_array_equal(bulk.bound_jobs, scalar.bound_jobs)
+            np.testing.assert_array_equal(bulk.exec_slot, scalar.exec_slot)
             assert bulk.machine_watts() == scalar.machine_watts()
 
             # Keep every node in lockstep so cohorts stay same-state.

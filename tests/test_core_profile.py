@@ -2,7 +2,7 @@
 
 The profile-based EASY/conservative schedulers must return exactly the
 decisions of the seed implementations preserved in
-``repro.core.reference_backfill`` — same jobs, same nodes, same order,
+``tests/backfill_oracles.py`` — same jobs, same nodes, same order,
 and the same admission-predicate call sequence.  The property tests
 below drive both through hundreds of randomized scheduling contexts
 (mixed running/pending jobs, stale release estimates, duplicate
@@ -22,13 +22,13 @@ from repro.core import (
     SchedulingContext,
 )
 from repro.core.profile import FreeNodeProfile
-from repro.core.reference_backfill import (
-    ReferenceConservativeBackfillScheduler,
-    ReferenceEasyBackfillScheduler,
-)
 from repro.core.scheduler import RunningJobInfo
 from repro.cluster import Machine, MachineSpec
 from repro.errors import SchedulingError
+from tests.backfill_oracles import (
+    ReferenceConservativeBackfillScheduler,
+    ReferenceEasyBackfillScheduler,
+)
 from tests.conftest import make_job
 
 

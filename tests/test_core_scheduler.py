@@ -1,10 +1,14 @@
 """Tests for FCFS and backfilling schedulers (decision logic only)."""
 
+import pytest
 
 from repro.core import (
     ConservativeBackfillScheduler,
     EasyBackfillScheduler,
+    FairShareScheduler,
     FcfsScheduler,
+    FirstFitAllocator,
+    PredictiveEasyScheduler,
     SchedulingContext,
 )
 from repro.core.scheduler import RunningJobInfo
@@ -188,3 +192,49 @@ class TestConservativeBackfill:
             ctx(small_machine, jobs)
         )
         assert [d.job.job_id for d in decisions] == ["small"]
+
+
+class _PassCountingAllocator(FirstFitAllocator):
+    def __init__(self):
+        self.passes = []
+
+    def begin_pass(self, now):
+        self.passes.append(now)
+
+
+@pytest.mark.parametrize(
+    "scheduler_cls",
+    [
+        FcfsScheduler,
+        EasyBackfillScheduler,
+        ConservativeBackfillScheduler,
+        FairShareScheduler,
+        PredictiveEasyScheduler,
+    ],
+)
+@pytest.mark.parametrize("vetoing", [False, True])
+def test_begin_pass_once_per_schedule(small_machine, scheduler_cls, vetoing):
+    # The Allocator contract: begin_pass runs once at the top of every
+    # pass, before any select, whatever the pass ends up deciding.
+    allocator = _PassCountingAllocator()
+    scheduler = scheduler_cls(allocator=allocator)
+    running = [occupy(small_machine, list(range(8)), end=500.0)]
+    jobs = [
+        make_job(job_id="a", nodes=4, walltime=100.0),
+        make_job(job_id="head", nodes=16, walltime=100.0),
+        make_job(job_id="b", nodes=2, walltime=100.0),
+    ]
+    admit = (lambda job: job.job_id != "b") if vetoing else None
+    for now in (0.0, 50.0):
+        scheduler.schedule(
+            SchedulingContext(
+                now=now,
+                machine=small_machine,
+                pending=list(jobs),
+                available=[n for n in small_machine.nodes if n.is_available],
+                running=running,
+                admit=admit,
+                usable_node_count=len(small_machine.nodes),
+            )
+        )
+    assert allocator.passes == [0.0, 50.0]

@@ -17,6 +17,7 @@ from repro.core.profile import FreeNodeProfile
 from repro.power import kernels
 from repro.power.model import NodePowerModel
 from repro.power.vector import STATE_CODES, VectorPowerMirror
+from tests.backfill_oracles import earliest_fit_index_py
 
 
 def random_mirror(seed: int, n: int = 96) -> VectorPowerMirror:
@@ -119,7 +120,7 @@ class TestEarliestFit:
             needed = int(rng.integers(1, 12))
             duration = float(rng.uniform(0.0, 600.0))
             ref = profile.earliest_fit(needed, duration)
-            idx = kernels.earliest_fit_index_py(
+            idx = earliest_fit_index_py(
                 profile.times, profile.free, needed, duration
             )
             got = None if idx < 0 else profile.times[idx]
@@ -131,20 +132,19 @@ class TestApplyTransition:
     def test_scatters_in_place(self):
         machine = Machine(MachineSpec(name="t", nodes=8, nodes_per_cabinet=4))
         mirror = VectorPowerMirror(machine, NodePowerModel())
-        state, idle_since, bound = (
-            mirror.state_code, mirror.idle_since, mirror.bound_jobs
-        )
+        state, idle_since = mirror.state_code, mirror.idle_since
         busy, idle = STATE_CODES[NodeState.BUSY], STATE_CODES[NodeState.IDLE]
         rows = np.array([1, 4, 6], dtype=np.intp)
         mirror.transition_rows(rows, busy, 10.0)
         assert mirror.state_code is state  # scattered, not reallocated
         assert state.tolist() == [idle, busy, idle, idle, busy, idle, busy, idle]
-        assert bound.tolist() == [0, 1, 0, 0, 1, 0, 1, 0]
+        # Transitions move state only; execution membership stays put.
+        assert (mirror.exec_slot == -1).all()
         assert np.isnan(idle_since[rows]).all()
         assert mirror.count_in_state(busy) == 3
         mirror.transition_rows(rows, idle, 42.0)
         assert state[rows].tolist() == [idle] * 3
         assert idle_since[rows].tolist() == [42.0, 42.0, 42.0]
-        assert bound.sum() == 0
+        assert (mirror.exec_slot == -1).all()
         assert mirror.count_in_state(busy) == 0
 

@@ -3,7 +3,7 @@ SoA execution-membership arrays.
 
 The array :class:`repro.core.profile.FreeNodeProfile` (numpy backing
 and kernels) must be decision-for-decision identical to the
-list-based :class:`repro.core.reference_profile.ReferenceFreeNodeProfile`
+list-based ``ReferenceFreeNodeProfile`` of ``tests/backfill_oracles.py``
 — the PR-2 implementation preserved verbatim as an executable spec.
 Hypothesis drives randomized release/reserve/query sequences through
 both and compares every observable: step points, free counts, query
@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from repro.cluster import Machine, MachineSpec
 from repro.core import ClusterSimulation, EasyBackfillScheduler
 from repro.core.profile import FreeNodeProfile
-from repro.core.reference_profile import ReferenceFreeNodeProfile
 from repro.errors import SchedulingError
 from repro.power import kernels
 from repro.state import (
@@ -37,6 +36,10 @@ from repro.state import (
     state_fingerprint,
 )
 from repro.workload import Job
+from tests.backfill_oracles import (
+    ReferenceFreeNodeProfile,
+    earliest_fit_index_py,
+)
 
 # ----------------------------------------------------------------------
 # Strategies: randomized build + operation sequences
@@ -165,7 +168,7 @@ class TestEarliestFitKernelTwins:
             duration = float(rng.uniform(0.0, 5e3))
             assert kernels.earliest_fit_index_np(
                 times, free, needed, duration
-            ) == kernels.earliest_fit_index_py(times, free, needed, duration)
+            ) == earliest_fit_index_py(times, free, needed, duration)
 
 
 class TestInsertPointKernelTwins:
@@ -217,7 +220,7 @@ def _assert_exec_arrays_consistent(csim):
         assert csim._exec_slots[slot] is execution
         rows = mirror.rows_for(execution.node_ids)
         assert (mirror.exec_slot[rows] == slot).all()
-        assert (mirror.bound_jobs[rows] == 1).all()
+        assert (mirror.exec_slot[rows] >= 0).all()
         bound_rows.update(rows.tolist())
         for node_id in execution.node_ids:
             assert csim.execution_on(node_id) is execution
@@ -226,7 +229,6 @@ def _assert_exec_arrays_consistent(csim):
             bound_rows, dtype=np.intp, count=len(bound_rows))
     )
     assert (mirror.exec_slot[unbound] == -1).all()
-    assert (mirror.bound_jobs[unbound] == 0).all()
 
 
 class TestSoAExecutionSnapshot:
