@@ -1,15 +1,16 @@
 """Experiment ``exp-backfill-depth``: scheduler cost at deep queues.
 
-The tentpole claim of the FreeNodeProfile rewrite: one conservative
-backfill pass over a deep pending queue is ≥10× faster than the seed
-delta-dict implementation — while returning the exact same decisions
-(the equivalence is asserted here on the benchmarked context itself,
-on top of the randomized property tests).
+The claim: one conservative backfill pass over a deep pending queue
+is ≥10× faster than the seed delta-dict implementation — while
+returning the exact same decisions (the equivalence is asserted here
+on the benchmarked context itself, on top of the randomized property
+tests).
 
-The seed implementation re-sorted and re-scanned the whole profile per
-candidate start (~O(P·T³) at queue depth P); the profile keeps the
-step function materialized, so a pass is one sliding-window-minimum
-walk plus an incremental subtraction per reservation.
+The seed implementation re-sorted and re-scanned the whole free-node
+step function per candidate start (~O(P·T³) at queue depth P).  The
+scheduler builds the release curve once per pass and plans on it as
+flat arrays, so a pass is one early-exit earliest-fit scan plus an
+in-place subtraction per reservation.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ from .scheduler import (
     SchedulingContext,
     StartDecision,
 )
-from .profile import FreeNodeProfile
 from .backfill import ConservativeBackfillScheduler, EasyBackfillScheduler
 from .allocator import (
     Allocator,
@@ -48,7 +47,6 @@ __all__ = [
     "FairShareAccountingPolicy",
     "FairShareScheduler",
     "FcfsScheduler",
-    "FreeNodeProfile",
     "NodePool",
     "FirstFitAllocator",
     "PredictiveEasyScheduler",

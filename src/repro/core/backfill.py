@@ -15,11 +15,13 @@ upper bound in this framework because jobs are killed at their
 walltime, which keeps reservations sound even under power capping
 slowdowns.
 
-Both schedulers plan on a :class:`~repro.core.profile.FreeNodeProfile`
-— a step function of free nodes over time — instead of re-deriving
-the profile from a raw delta dict per candidate start, and read the
-queue as the ``(nodes, walltime)`` columns of
-``ctx.pending_arrays``.  Their decisions are identical to the seed
+Both schedulers plan on one *release curve* built by
+:func:`release_curve`: the sorted times at which running jobs free
+their nodes, with the cumulative free count from each one on.  EASY
+reads the head's shadow time and spare count straight off it;
+conservative copies it into flat arrays and subtracts reservations
+from them.  Both read the queue as the ``(nodes, walltime)`` columns
+of ``ctx.pending_arrays``.  Their decisions are identical to the seed
 delta-dict schedulers, which live on as test oracles in
 ``tests/backfill_oracles.py`` (enforced by property tests).
 
@@ -45,7 +47,7 @@ skip the call and may screen harder.
   and plans the whole queue through one
   :func:`repro.power.kernels.plan_conservative_np` call that starts
   only admitted jobs, with a saturation early-stop.  With no
-  admission it carries the planned profile across passes: while the
+  admission it carries the planned curve across passes: while the
   cluster state and queue prefix are unchanged and no reservation has
   matured, a pass is either an O(log T) *defer* (still saturated —
   nothing can start) or a catch-up over just the newly submitted
@@ -55,13 +57,14 @@ skip the call and may screen harder.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..errors import SchedulingError
 from ..power import kernels
 from ..workload.job import Job
-from .profile import FreeNodeProfile
 from .scheduler import Scheduler, SchedulingContext, StartDecision
 
 
@@ -71,6 +74,40 @@ from .scheduler import Scheduler, SchedulingContext, StartDecision
 #: performance threshold — both ways call ``admit`` on the same jobs
 #: and make the same decisions.
 _SCREEN_MIN_JOBS = 64
+
+
+def release_curve(
+    origin: float, free_now: int, releases: Iterable[Tuple[float, int]]
+) -> Tuple[List[float], List[int]]:
+    """The free-node release curve: ``(times, free)``, where
+    ``free[i]`` nodes are free from ``times[i]`` on.
+
+    ``times[0]`` is *origin*, and ``free[0]`` is *free_now* plus every
+    release at or before *origin* (the seed's ``free_at`` summed every
+    delta with ``time <= t``).  Each later ``(time, nodes)`` release
+    adds a breakpoint, equal times merge into one, and the counts are
+    cumulative, so ``times`` is strictly increasing and ``free`` never
+    decreases.  An origin of ``float("-inf")`` keeps stale (sub-now)
+    release estimates as breakpoints of their own.
+    """
+    base = int(free_now)
+    merged: dict = {}
+    for time, count in releases:
+        if count < 0:
+            raise SchedulingError(
+                f"release of {count} nodes at t={time}: counts must be >= 0"
+            )
+        if time <= origin:
+            base += count
+        else:
+            merged[time] = merged.get(time, 0) + count
+    times = [origin]
+    free = [base]
+    for time in sorted(merged):
+        base += merged[time]
+        times.append(time)
+        free.append(base)
+    return times, free
 
 
 class EasyBackfillScheduler(Scheduler):
@@ -166,38 +203,45 @@ class EasyBackfillScheduler(Scheduler):
 
     def _shadow_and_spare(self, ctx, decisions, est, pool, head):
         """Phase 2: the blocked head's shadow time and spare nodes,
-        off the release profile of running jobs plus this pass's
-        grants (``decisions`` are ``pending[:len(decisions)]``; granted
-        nodes count as busy until their estimate).  Origin -inf keeps
-        stale (sub-now) release estimates as explicit breakpoints,
-        matching the seed's raw release walk; equal-time releases
-        merge into one breakpoint (the seed's duplicate-entry list was
-        only cumulative by accident of the walk order)."""
+        off the release curve of running jobs plus this pass's grants
+        (``decisions`` are ``pending[:len(decisions)]``; granted nodes
+        count as busy until their estimate).  Origin -inf keeps stale
+        (sub-now) release estimates as breakpoints, matching the seed's
+        raw release walk; equal-time releases merge into one breakpoint
+        (the seed's duplicate-entry list was only cumulative by accident
+        of the walk order)."""
         now = ctx.now
         events = self._running_releases(ctx)
         events.extend(
             (now + runtime, len(d.nodes))
             for runtime, d in zip(est[: len(decisions)].tolist(), decisions)
         )
-        profile = FreeNodeProfile.from_releases(float("-inf"), len(pool), events)
-        shadow = profile.earliest_at_least(head.nodes, now)
-        if shadow is None:
+        times, free = release_curve(float("-inf"), len(pool), events)
+        # The curve never decreases, so the first breakpoint at the
+        # head's level is where the head fits for good; that breakpoint
+        # may be a stale one in the past, which callers only compare
+        # against.
+        lo = bisect_left(free, head.nodes)
+        if lo == 0:
+            shadow = now
+        elif lo < len(free):
+            shadow = times[lo]
+        elif head.nodes <= ctx.usable_node_count:
+            # Never reached, yet the head could run: it is blocked by
+            # admission (e.g. power).  Be conservative and allow only
+            # jobs that fit in currently spare nodes.
+            shadow = now
+        else:
+            # The head can never fit: backfill without a shadow guard.
             shadow = float("inf")
-            # Head can never fit (larger than capacity horizon or only
-            # blocked by admission) — backfill without a shadow guard is
-            # unsafe for the former; guard with capacity check:
-            if head.nodes <= ctx.usable_node_count:
-                # Blocked by admission (e.g. power): be conservative,
-                # allow only jobs that fit in currently spare nodes.
-                shadow = now
 
         # Spare nodes at shadow time: free nodes at shadow minus head's.
-        spare = max(0, profile.free_at(shadow) - head.nodes)
+        spare = max(0, free[bisect_right(times, shadow) - 1] - head.nodes)
         return shadow, spare
 
 
 class _PassCache:
-    """Profile carried between consecutive conservative passes.
+    """Planned curve carried between consecutive conservative passes.
 
     ``__slots__`` and no ``__dict__`` keep the cache invisible to the
     generic state capture (``repro.state.capture`` skips slot-only
@@ -219,16 +263,16 @@ class _PassCache:
 class ConservativeBackfillScheduler(Scheduler):
     """Conservative backfilling: every queued job holds a reservation.
 
-    Implemented by forward-simulating the free-node profile: each job
+    Implemented by forward-simulating the release curve: each job
     in priority order is planned at its earliest feasible slot; only
     jobs planned to start *now* are actually started.  Planning uses
     walltime estimates, so no earlier-reserved job is ever delayed.
 
     The whole pass runs through one
     :func:`repro.power.kernels.plan_conservative_np` call over the
-    profile arrays: each reservation is a slice subtraction over its
+    curve's arrays: each reservation is a slice subtraction over its
     ``[start, end)`` window and each earliest-slot search one skip
-    scan.  With no admission attached the planned profile is carried
+    scan.  With no admission attached the planned curve is carried
     across passes (see the module docstring).
     """
 
@@ -277,7 +321,7 @@ class ConservativeBackfillScheduler(Scheduler):
         releases = tuple(
             (info.expected_end, len(info.node_ids)) for info in ctx.running
         )
-        # Suffix minima over the queue: the cheapest profile window any
+        # Suffix minima over the queue: the cheapest curve window any
         # remaining job needs, for the kernel's saturation early-stop.
         sfx_nodes = np.minimum.accumulate(nodes_a[::-1])[::-1]
         sfx_wall = np.minimum.accumulate(wall_a[::-1])[::-1]
@@ -305,7 +349,7 @@ class ConservativeBackfillScheduler(Scheduler):
             # saturation at the planned frontier: still saturated
             # means no job anywhere in the queue (old or newly
             # appended) can start — defer in O(log T).  Otherwise
-            # catch up from the frontier on the carried profile.
+            # catch up from the frontier on the carried curve.
             k0 = cache.planned
             if k0 >= m:
                 return []
@@ -327,10 +371,10 @@ class ConservativeBackfillScheduler(Scheduler):
             base_minf = cache.minf
             times, free = _grow_arrays(times, free, n, n + 2 * (m - k0))
         else:
-            profile = FreeNodeProfile.from_releases(
-                now, pool_len, list(releases)
-            )
-            times, free, n, monotone = profile.detach_arrays(2 * m)
+            times, free = release_curve(now, pool_len, releases)
+            n = len(times)
+            monotone = True
+            times, free = _grow_arrays(times, free, n, n + 2 * m)
 
         starts_out = np.empty(m - k0, dtype=np.int64)
         resv_out = np.empty((m - k0, 3), dtype=np.float64)
@@ -377,11 +421,12 @@ class ConservativeBackfillScheduler(Scheduler):
         return decisions
 
 
-def _grow_arrays(
-    times: np.ndarray, free: np.ndarray, n: int, need: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Doubling growth of detached profile arrays (cross-pass cache)."""
-    cap = int(times.shape[0])
+def _grow_arrays(times, free, n: int, need: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Planner arrays holding *need* breakpoints, the first *n* copied
+    from *times*/*free*: a fresh release curve (lists, always grown)
+    or the carried arrays (returned as they are while they fit).
+    Capacity doubles."""
+    cap = len(times)
     if cap >= need:
         return times, free
     while cap < need:

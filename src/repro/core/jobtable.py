@@ -1,7 +1,7 @@
 """Structure-of-arrays mirror of the pending queue.
 
 PRs 2-8 drove the *node* dimension of the simulator onto flat numpy
-arrays (``VectorPowerMirror``, array-backed ``FreeNodeProfile``); the
+arrays (``VectorPowerMirror``, the backfill planner's curve arrays); the
 *queue* dimension still reached the schedulers as a Python list of
 ``Job`` objects, so every deep-queue backfill pass paid one attribute
 walk per job.  :class:`JobTable` closes that gap: one row per queued

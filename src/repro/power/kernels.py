@@ -5,18 +5,18 @@ caller:
 
 * :func:`node_watts_np` — per-row watts, the inner kernel of
   :meth:`~repro.power.vector.VectorPowerMirror.machine_watts`;
-* :func:`earliest_fit_index_np` — the earliest-fit window scan of
-  :class:`~repro.core.profile.FreeNodeProfile`;
-* :func:`insert_point_np` — breakpoint insertion into the profile
-  arrays;
+* :func:`earliest_fit_index_np` — the earliest-fit window scan over a
+  free-node curve with reservations subtracted;
 * :func:`plan_conservative_np` — a whole conservative-backfill pass
-  (:class:`~repro.core.backfill.ConservativeBackfillScheduler`).
+  (:class:`~repro.core.backfill.ConservativeBackfillScheduler`) over
+  the release curve of :func:`repro.core.backfill.release_curve`.
 
-Plain-python oracles for the two scans live in
-``tests/backfill_oracles.py``; the randomized sweeps in ``tests/`` pin
-each numpy kernel against its oracle decision for decision.  Reductions are
-never performed inside a kernel — totals go through ``np.sum`` on the
-caller side, so summation order is fixed by the caller.
+Plain-python oracles for the two scans and the breakpoint insertion
+live in ``tests/backfill_oracles.py``; the randomized sweeps in
+``tests/`` pin each numpy kernel against its oracle decision for
+decision.  Reductions are never performed inside a kernel — totals go
+through ``np.sum`` on the caller side, so summation order is fixed by
+the caller.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 __all__ = [
     "node_watts_np",
     "earliest_fit_index_np",
-    "insert_point_np",
     "plan_conservative_np",
 ]
 
@@ -95,7 +94,7 @@ def node_watts_np(
 
 
 # ----------------------------------------------------------------------
-# Kernel 2: earliest-fit window scan over a reserved free-node profile
+# Kernel 2: earliest-fit window scan over a reserved free-node curve
 # ----------------------------------------------------------------------
 def earliest_fit_index_np(
     times: np.ndarray,
@@ -115,7 +114,7 @@ def earliest_fit_index_np(
     the scan restarts at ``j + 1``, visiting each index at most twice
     overall.  Empty windows (``duration <= 0``) close before admitting
     any ``j`` and reduce to the head test ``free[i] >= needed``.
-    Profiles here are a few hundred breakpoints with early answers, so
+    Curves here are a few hundred breakpoints with early answers, so
     this plain-python walk over ``tolist()`` data beats a vectorized
     formulation (a dozen full-array dispatches per call) by an order
     of magnitude.  Comparisons are on the same float64 values in the
@@ -145,33 +144,10 @@ def earliest_fit_index_np(
 
 
 # ----------------------------------------------------------------------
-# Kernel 3: breakpoint insertion shift (FreeNodeProfile._ensure_point)
-# ----------------------------------------------------------------------
-def insert_point_np(
-    times: np.ndarray,
-    free: np.ndarray,
-    n: int,
-    idx: int,
-    time: float,
-) -> None:
-    """Open a gap at *idx* in the first *n* live entries of the profile
-    arrays and write the new breakpoint: ``times[idx] = time`` with the
-    enclosing segment's count ``free[idx - 1]``.  The caller guarantees
-    capacity for ``n + 1`` entries and ``idx >= 1`` (the origin
-    breakpoint is never displaced).  The suffix is copied before the
-    shifted store — overlapping numpy slice assignment is not
-    guaranteed memmove-safe."""
-    times[idx + 1:n + 1] = times[idx:n].copy()
-    free[idx + 1:n + 1] = free[idx:n].copy()
-    times[idx] = time
-    free[idx] = free[idx - 1]
-
-
-# ----------------------------------------------------------------------
-# Kernel 4: whole-pass conservative backfill planning
+# Kernel 3: whole-pass conservative backfill planning
 # ----------------------------------------------------------------------
 # One call plans the queue slice ``[k0, m)`` against a free-node
-# profile held in flat ``(times, free)`` arrays: earliest-fit search,
+# curve held in flat ``(times, free)`` arrays: earliest-fit search,
 # tail fallback, start-now test and reservation insertion per job —
 # the seed conservative loop body.  Admission is decided by the caller
 # beforehand: ``admitted`` (or ``None`` for "every job") gates the
@@ -182,7 +158,7 @@ def insert_point_np(
 #
 # * **Saturation early-stop** (``stop_early``): before planning job
 #   ``k``, check whether *any* remaining job could start now.  A job
-#   can start only if the profile keeps at least its node count free
+#   can start only if the curve keeps at least its node count free
 #   over ``[now, now + walltime)``; the window minimum is antitone in
 #   both window length and node count, so the cheapest remaining
 #   window — suffix-minimum walltime at suffix-minimum nodes — bounds
@@ -191,12 +167,12 @@ def insert_point_np(
 #   pass may stop: the reservations it would have placed are
 #   pass-local scratch state, invisible outside the scheduler.
 # * **Resumability**: the caller may re-enter with ``k0 > 0`` against
-#   a profile carried over from the previous pass (the cross-pass
+#   a curve carried over from the previous pass (the cross-pass
 #   cache in ``core/backfill.py``); ``minf`` reports the earliest
 #   reservation placed at or after ``now`` so the caller can tell
-#   when that carried profile expires.
+#   when that carried curve expires.
 #
-# The caller guarantees array capacity for ``n + 2*(m - k0)`` profile
+# The caller guarantees array capacity for ``n + 2*(m - k0)`` curve
 # breakpoints (each planned job inserts at most two), ``starts_out``
 # of length ``m - k0`` and ``resv_out`` of shape ``(m - k0, 3)``.
 def plan_conservative_np(
@@ -217,10 +193,10 @@ def plan_conservative_np(
     starts_out: np.ndarray,
     resv_out: np.ndarray,
 ) -> Tuple[int, int, int, float, bool, int, int]:
-    """Numpy-backed pass planner: profile queries stay on the arrays
+    """Numpy-backed pass planner: curve queries stay on the arrays
     (``searchsorted`` + the skip-scan earliest fit), reservations are
     slice subtractions, breakpoints insert through
-    :func:`insert_point_np`.  Job columns are read once via
+    :func:`_ensure_point_arr`.  Job columns are read once via
     ``tolist()`` — per-element numpy indexing would dominate at queue
     depth (the lesson baked into :func:`earliest_fit_index_np`).
     Same comparisons on the same float64 values as the py oracle,
@@ -295,10 +271,17 @@ def plan_conservative_np(
 def _ensure_point_arr(
     times: np.ndarray, free: np.ndarray, n: int, x: float
 ) -> Tuple[int, int]:
-    """Array twin of ``FreeNodeProfile._ensure_point``; returns
-    ``(index, new_n)``.  Capacity is the caller's guarantee."""
+    """Index of the breakpoint at *x* among the first *n* entries,
+    inserted with the enclosing segment's count when absent; returns
+    ``(index, new_n)``.  The caller guarantees capacity for ``n + 1``
+    entries and ``x >= times[0]`` (the origin breakpoint is never
+    displaced).  The suffix is copied before the shifted store —
+    overlapping numpy slice assignment is not guaranteed memmove-safe."""
     idx = int(times[:n].searchsorted(x, side="left"))
     if idx < n and times[idx] == x:
         return idx, n
-    insert_point_np(times, free, n, idx, x)
+    times[idx + 1:n + 1] = times[idx:n].copy()
+    free[idx + 1:n + 1] = free[idx:n].copy()
+    times[idx] = x
+    free[idx] = free[idx - 1]
     return idx, n + 1

@@ -38,7 +38,7 @@ class EventPriority(enum.IntEnum):
     DEFAULT = 20
 
 
-@dataclass(order=True, slots=True)
+@dataclass(slots=True)
 class Event:
     """A single scheduled callback.
 
@@ -48,7 +48,9 @@ class Event:
 
     ``slots=True`` matters here: the engine allocates and compares one
     Event per scheduled callback, so dropping the per-instance dict
-    shrinks the hot loop.
+    shrinks the hot loop.  For the same reason the heap order is an
+    explicit :meth:`__lt__` rather than ``order=True``, whose generated
+    comparison builds two tuples per call.
     """
 
     time: float
@@ -62,6 +64,14 @@ class Event:
     #: Lets a late cancel() (e.g. from within the event's own action)
     #: be a no-op for the engine's live/tombstone bookkeeping.
     done: bool = field(compare=False, default=False)
+
+    def __lt__(self, other: "Event") -> bool:
+        """Heap order: ``time``, then ``priority``, then ``seq``."""
+        if self.time != other.time:
+            return self.time < other.time
+        if self.priority != other.priority:
+            return self.priority < other.priority
+        return self.seq < other.seq
 
     def fire(self) -> None:
         """Invoke the callback unless the event was cancelled."""

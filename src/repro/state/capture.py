@@ -21,9 +21,9 @@ at snapshot time guards against restoring onto a different recipe.
 The round-trip invariant: the restored simulation fires bit-identical
 subsequent events, so ``run()`` from a checkpoint finishes with a
 ``SimulationResult`` identical to the uninterrupted run.  Pass-local
-scheduler scratch (e.g. ``FreeNodeProfile`` reservations built inside
-one backfill pass) never lives across events, so capturing between
-events needs no scheduler-internal heap state.
+scheduler scratch (e.g. the release curve and the reservations a
+backfill pass subtracts from it) never lives across events, so
+capturing between events needs no scheduler-internal heap state.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ implementations the runtime code must match decision for decision:
   two hooks on the one EASY pass;
 * :class:`ReferenceFreeNodeProfile` — the list-based free-node profile
   (bisect + monotone-deque sliding-window minimum), the oracle for
-  the array-backed :class:`repro.core.profile.FreeNodeProfile`;
+  :func:`repro.core.backfill.release_curve` and for the earliest-fit
+  scan;
 * :func:`earliest_fit_index_py` and :func:`plan_conservative_py` —
   plain-python twins of the numpy kernels in
   :mod:`repro.power.kernels`.
@@ -30,7 +31,7 @@ runtime code, with the oracle updated in the same commit.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import deque
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -327,16 +328,18 @@ class ReferencePredictiveEasyScheduler(PredictiveEasyScheduler):
 class ReferenceFreeNodeProfile:
     """Step function of free-node counts over ``[origin, +inf)``.
 
-    Same contract as :class:`repro.core.profile.FreeNodeProfile`;
-    see that class for the full parameter documentation.
+    ``times`` is strictly increasing with ``times[0] == origin``;
+    ``free[i]`` is the count on ``[times[i], times[i+1])`` and the last
+    segment extends to infinity.  Releases at or before *origin* fold
+    into the base count (origin ``-inf`` keeps every one as a
+    breakpoint); reservations subtract capacity over ``[start, end)``.
     """
 
-    __slots__ = ("times", "free", "_monotone")
+    __slots__ = ("times", "free")
 
     def __init__(self, origin: float, free: int) -> None:
         self.times: List[float] = [float(origin)]
         self.free: List[int] = [int(free)]
-        self._monotone = True
 
     # ------------------------------------------------------------------
     # Construction
@@ -368,54 +371,12 @@ class ReferenceFreeNodeProfile:
             profile.free.append(running)
         return profile
 
-    def add_release(self, time: float, count: int) -> None:
-        """Add *count* nodes becoming free at *time* (and ever after)."""
-        if count < 0:
-            raise SchedulingError(
-                f"release of {count} nodes at t={time}: counts must be >= 0"
-            )
-        if count == 0:
-            return
-        times, free = self.times, self.free
-        if time <= times[0]:
-            for i in range(len(free)):
-                free[i] += count
-            return
-        idx = self._ensure_point(time)
-        for i in range(idx, len(free)):
-            free[i] += count
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    @property
-    def tail_time(self) -> float:
-        return self.times[-1]
-
-    def free_at(self, time: float) -> int:
-        idx = bisect_right(self.times, time) - 1
-        return self.free[idx] if idx >= 0 else self.free[0]
-
-    def earliest_at_least(self, needed: int, not_before: float) -> Optional[float]:
-        if not self._monotone:
-            raise SchedulingError(
-                "earliest_at_least needs a monotone profile; use earliest_fit"
-            )
-        free = self.free
-        lo, hi = 0, len(free)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if free[mid] >= needed:
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo == len(free):
-            return None
-        return not_before if lo == 0 else self.times[lo]
-
     def earliest_fit(self, needed: int, duration: float) -> Optional[float]:
-        if self._monotone:
-            return self.earliest_at_least(needed, self.times[0])
+        """Earliest breakpoint from which *needed* nodes stay free for
+        *duration* (monotone-deque sliding-window minimum), or None."""
         times, free = self.times, self.free
         n = len(times)
         window: deque = deque()  # indices into free, values increasing
@@ -455,7 +416,6 @@ class ReferenceFreeNodeProfile:
         free = self.free
         for i in range(lo, hi):
             free[i] -= count
-        self._monotone = False
 
     # ------------------------------------------------------------------
     def _ensure_point(self, time: float) -> int:
@@ -466,16 +426,6 @@ class ReferenceFreeNodeProfile:
         times.insert(idx, time)
         self.free.insert(idx, self.free[idx - 1])
         return idx
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        steps = ", ".join(
-            f"{t:g}:{f}" for t, f in zip(self.times[:8], self.free[:8])
-        )
-        more = "..." if len(self.times) > 8 else ""
-        return f"ReferenceFreeNodeProfile({steps}{more})"
 
 
 # ----------------------------------------------------------------------
@@ -490,7 +440,7 @@ def earliest_fit_index_py(
     """Reference implementation of the sliding-window-minimum scan:
     index of the earliest breakpoint from which *needed* nodes stay
     free for *duration*, or -1.  Mirrors
-    :meth:`FreeNodeProfile.earliest_fit` (non-monotone branch) with a
+    :meth:`ReferenceFreeNodeProfile.earliest_fit` (non-monotone branch) with a
     ring buffer instead of a deque.  Test oracle for
     :func:`repro.power.kernels.earliest_fit_index_np`."""
     n = len(times)
@@ -533,7 +483,7 @@ def plan_conservative_py(
     resv_out: np.ndarray,
 ) -> Tuple[int, int, int, float, bool, int, int]:
     """Reference implementation on python lists (bisect + list.insert),
-    mirroring :meth:`FreeNodeProfile` semantics op for op; test oracle
+    mirroring :class:`ReferenceFreeNodeProfile` semantics op for op; test oracle
     for :func:`repro.power.kernels.plan_conservative_np`.  Returns
     ``(n, planned, pool_free, minf, monotone, n_starts, n_resv)`` and
     writes the planned profile back into ``times``/``free``."""
@@ -607,7 +557,7 @@ def plan_conservative_py(
 
 
 def _ensure_point_list(t: list, f: list, x: float) -> int:
-    """List twin of ``FreeNodeProfile._ensure_point``."""
+    """List twin of :func:`repro.power.kernels._ensure_point_arr`."""
     idx = bisect_left(t, x)
     if idx < len(t) and t[idx] == x:
         return idx

@@ -3,10 +3,10 @@
 The array-screened passes in :mod:`repro.core.backfill` — the EASY
 cumulative-sum screen and the conservative
 :func:`repro.power.kernels.plan_conservative_np` pass with its cross-pass
-profile cache — must be decision-for-decision identical to the seed
+curve cache — must be decision-for-decision identical to the seed
 schedulers in ``tests/backfill_oracles.py``.  Hypothesis drives
 randomized deep queues (hundreds of pending jobs, mixed moldable and
-rigid, random running-set release profiles) through both and compares
+rigid, random running-set release curves) through both and compares
 start decisions and reservation sets, with no admission attached and
 with a vetoing admission predicate whose call sequence must match the
 oracle's call for call.
@@ -30,7 +30,7 @@ from repro.core import (
     PredictiveEasyScheduler,
     SchedulingContext,
 )
-from repro.core.profile import FreeNodeProfile
+from repro.core.backfill import release_curve
 from repro.core.scheduler import RunningJobInfo
 from repro.power import kernels
 from repro.prediction import UserRuntimePredictor
@@ -46,7 +46,7 @@ from tests.backfill_oracles import (
 _NODES = 256
 
 # Walltimes drawn from a small grid so release/end collisions (equal
-# profile timestamps) are common — the merge paths differ most there.
+# curve timestamps) are common — the merge paths differ most there.
 _WALL_GRID = [300.0, 600.0, 900.0, 1800.0, 3600.0, 7200.0]
 
 _USERS = ["alice", "bob", "carol", "dave"]
@@ -324,8 +324,12 @@ def _plan_inputs(seed, m=40, stop_early=True):
         (now + float(rng.choice(_WALL_GRID)), int(rng.integers(1, 32)))
         for _ in range(int(rng.integers(0, 12)))
     )
-    profile = FreeNodeProfile.from_releases(now, pool_free, releases)
-    times, free, n, monotone = profile.detach_arrays(extra=2 * m)
+    curve_t, curve_f = release_curve(now, pool_free, releases)
+    n = len(curve_t)
+    times = np.empty(n + 2 * m, dtype=np.float64)
+    free = np.empty(n + 2 * m, dtype=np.int64)
+    times[:n] = curve_t
+    free[:n] = curve_f
     nodes_req = rng.integers(1, 65, size=m).astype(np.int64)
     wall = rng.choice(_WALL_GRID, size=m).astype(np.float64)
     sfx_nodes = np.minimum.accumulate(nodes_req[::-1])[::-1].copy()
@@ -333,7 +337,7 @@ def _plan_inputs(seed, m=40, stop_early=True):
     return dict(
         times=times, free=free, n=n, nodes_req=nodes_req, wall=wall,
         sfx_nodes=sfx_nodes, sfx_wall=sfx_wall, k0=0, now=now,
-        pool_free=pool_free, capacity=capacity, monotone=monotone,
+        pool_free=pool_free, capacity=capacity, monotone=True,
         stop_early=stop_early, admitted=None,
         starts_out=np.empty(m, dtype=np.int64),
         resv_out=np.empty((m, 3), dtype=np.float64),

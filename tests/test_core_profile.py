@@ -1,19 +1,22 @@
-"""FreeNodeProfile unit tests + scheduler equivalence property tests.
+"""Free-node release curve unit tests + scheduler equivalence property
+tests.
 
-The profile-based EASY/conservative schedulers must return exactly the
-decisions of the seed implementations preserved in
-``tests/backfill_oracles.py`` — same jobs, same nodes, same order,
-and the same admission-predicate call sequence.  The property tests
-below drive both through hundreds of randomized scheduling contexts
-(mixed running/pending jobs, stale release estimates, duplicate
-release times, admission vetoes, boot-limited capacity) and compare
-decision for decision.
+Both backfill schedulers plan on the curve built by
+:func:`repro.core.backfill.release_curve`.  The EASY/conservative
+schedulers must return exactly the decisions of the seed
+implementations preserved in ``tests/backfill_oracles.py`` — same
+jobs, same nodes, same order, and the same admission-predicate call
+sequence.  The property tests below drive both through hundreds of
+randomized scheduling contexts (mixed running/pending jobs, stale
+release estimates, duplicate release times, admission vetoes,
+boot-limited capacity) and compare decision for decision.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -21,10 +24,11 @@ from repro.core import (
     EasyBackfillScheduler,
     SchedulingContext,
 )
-from repro.core.profile import FreeNodeProfile
+from repro.core.backfill import release_curve
 from repro.core.scheduler import RunningJobInfo
 from repro.cluster import Machine, MachineSpec
 from repro.errors import SchedulingError
+from repro.power import kernels
 from tests.backfill_oracles import (
     ReferenceConservativeBackfillScheduler,
     ReferenceEasyBackfillScheduler,
@@ -33,99 +37,58 @@ from tests.conftest import make_job
 
 
 # ----------------------------------------------------------------------
-# FreeNodeProfile unit tests
+# Free-node curve unit tests
 # ----------------------------------------------------------------------
 class TestFreeNodeProfile:
+    """The free-node profile both schedulers start from: the release
+    curve, and the earliest-fit scan the conservative planner runs
+    over it once reservations are subtracted."""
+
     def test_empty_profile_is_flat(self):
-        p = FreeNodeProfile.from_releases(0.0, 7, [])
-        assert p.free_at(0.0) == 7
-        assert p.free_at(1e9) == 7
-        assert p.tail_time == 0.0
-        assert len(p) == 1
-        assert p.earliest_fit(7, 100.0) == 0.0
-        assert p.earliest_fit(8, 100.0) is None
+        assert release_curve(0.0, 7, []) == ([0.0], [7])
 
     def test_releases_fold_at_or_before_origin(self):
         # Stale estimates (time <= origin) raise the base count, like
         # the seed's free_at() summing every delta with time <= t.
-        p = FreeNodeProfile.from_releases(100.0, 2, [(50.0, 3), (100.0, 1), (200.0, 4)])
-        assert p.free_at(100.0) == 6
-        assert p.free_at(199.9) == 6
-        assert p.free_at(200.0) == 10
-        assert len(p) == 2
+        times, free = release_curve(
+            100.0, 2, [(50.0, 3), (100.0, 1), (200.0, 4)]
+        )
+        assert times == [100.0, 200.0]
+        assert free == [6, 10]
 
     def test_duplicate_release_times_consolidate(self):
-        p = FreeNodeProfile.from_releases(0.0, 0, [(10.0, 2), (10.0, 3), (20.0, 1)])
-        assert len(p) == 3  # origin, 10, 20
-        assert p.free_at(10.0) == 5
-        assert p.free_at(20.0) == 6
+        times, free = release_curve(0.0, 0, [(20.0, 1), (10.0, 2), (10.0, 3)])
+        assert times == [0.0, 10.0, 20.0]
+        assert free == [0, 5, 6]
 
     def test_negative_release_guard(self):
         with pytest.raises(SchedulingError):
-            FreeNodeProfile.from_releases(0.0, 4, [(10.0, -2)])
-        p = FreeNodeProfile(0.0, 4)
+            release_curve(0.0, 4, [(10.0, -2)])
+        # Also when the negative release would fold into the base.
         with pytest.raises(SchedulingError):
-            p.add_release(10.0, -1)
-
-    def test_reserve_count_guard(self):
-        p = FreeNodeProfile(0.0, 4)
-        with pytest.raises(SchedulingError):
-            p.reserve(0.0, 10.0, 0)
-        with pytest.raises(SchedulingError):
-            p.reserve(0.0, 10.0, -3)
-        with pytest.raises(SchedulingError):
-            p.reserve(-5.0, 10.0, 1)  # before origin
-
-    def test_reserve_subtracts_over_window_only(self):
-        p = FreeNodeProfile.from_releases(0.0, 4, [(100.0, 4)])
-        p.reserve(10.0, 50.0, 3)
-        assert p.free_at(0.0) == 4
-        assert p.free_at(10.0) == 1
-        assert p.free_at(49.9) == 1
-        assert p.free_at(50.0) == 4
-        assert p.free_at(100.0) == 8
-
-    def test_tail_reservation_extends_profile(self):
-        # Reserving past the last breakpoint splits the constant tail.
-        p = FreeNodeProfile.from_releases(0.0, 2, [(10.0, 6)])
-        p.reserve(500.0, 900.0, 5)
-        assert p.free_at(499.0) == 8
-        assert p.free_at(500.0) == 3
-        assert p.free_at(899.0) == 3
-        assert p.free_at(900.0) == 8
-        assert p.tail_time == 900.0
+            release_curve(100.0, 4, [(10.0, -2)])
 
     def test_earliest_fit_monotone_binary_search(self):
-        p = FreeNodeProfile.from_releases(0.0, 1, [(10.0, 2), (30.0, 4)])
-        assert p.earliest_fit(1, 100.0) == 0.0
-        assert p.earliest_fit(3, 100.0) == 10.0
-        assert p.earliest_fit(7, 100.0) == 30.0
-        assert p.earliest_fit(8, 100.0) is None
+        # On a bare release curve (never decreasing) the earliest fit
+        # is the first breakpoint at the level, whatever the duration:
+        # the planner's monotone shortcut is a binary search.
+        times, free = release_curve(0.0, 1, [(10.0, 2), (30.0, 4)])
+        t, f = np.array(times), np.array(free)
+        for needed, want in ((1, 0), (3, 1), (7, 2), (8, -1)):
+            assert kernels.earliest_fit_index_np(t, f, needed, 100.0) == want
+            lo = int(f.searchsorted(needed, side="left"))
+            assert (lo if lo < len(f) else -1) == want
 
     def test_earliest_fit_skips_too_short_gaps(self):
         # 5 free only during [10, 40): a 50s job must wait until the
         # reservation ends, a 20s job fits in the gap.
-        p = FreeNodeProfile(0.0, 5)
-        p.reserve(0.0, 10.0, 3)
-        p.reserve(40.0, 90.0, 2)
-        assert p.earliest_fit(5, 20.0) == 10.0
-        assert p.earliest_fit(5, 50.0) == 90.0
-        assert p.earliest_fit(4, 1000.0) == 90.0
-
-    def test_earliest_at_least_requires_monotone(self):
-        p = FreeNodeProfile(0.0, 5)
-        p.reserve(10.0, 20.0, 2)
-        with pytest.raises(SchedulingError):
-            p.earliest_at_least(5, 0.0)
-
-    def test_earliest_at_least_reports_stale_breakpoints(self):
-        # With origin -inf, a release before "now" stays an explicit
-        # breakpoint and earliest_at_least may return a past time —
-        # the EASY shadow computation compares against it verbatim.
-        p = FreeNodeProfile.from_releases(float("-inf"), 2, [(50.0, 4)])
-        assert p.earliest_at_least(6, 100.0) == 50.0
-        assert p.earliest_at_least(2, 100.0) == 100.0
-        assert p.earliest_at_least(7, 100.0) is None
+        times = np.array([0.0, 10.0, 40.0, 90.0])
+        free = np.array([2, 5, 3, 5])
+        fit = kernels.earliest_fit_index_np
+        assert times[fit(times, free, 5, 20.0)] == 10.0
+        assert times[fit(times, free, 5, 50.0)] == 90.0
+        assert times[fit(times, free, 4, 1000.0)] == 90.0
+        assert fit(times, free, 6, 1.0) == -1
 
 
 # ----------------------------------------------------------------------
@@ -190,9 +153,32 @@ class TestEasyMergedProfileShadow:
         )
         assert [d.job.job_id for d in decisions] == ["j0"]
 
+    def test_stale_release_sets_shadow_and_spare(self):
+        # A running job past its expected end (t=-50 < now=0) stays a
+        # breakpoint of its own: the head reaches its level there, so
+        # the shadow is that stale time and the spare count includes
+        # the stale release (6 + 10 - 12 = 4).
+        machine = self._machine()
+        job = make_job(job_id="r0", nodes=10, walltime=1000.0)
+        job.start(0.0, list(range(10)))
+        for nid in range(10):
+            machine.node(nid).assign("r0", 0.0)
+        stale = RunningJobInfo(job, tuple(range(10)), -50.0)
+        pending = [
+            make_job(job_id="head", nodes=12, walltime=500.0),
+            # Cannot end before a past shadow; fits the 4 spare nodes.
+            make_job(job_id="wide", nodes=4, walltime=1000.0),
+            # Spare is used up by "wide".
+            make_job(job_id="narrow", nodes=2, walltime=1000.0),
+        ]
+        decisions = EasyBackfillScheduler().schedule(
+            self._ctx(machine, pending, [stale])
+        )
+        assert [d.job.job_id for d in decisions] == ["wide"]
+
 
 # ----------------------------------------------------------------------
-# Property-based equivalence: profile schedulers vs seed references
+# Property-based equivalence: curve schedulers vs seed references
 # ----------------------------------------------------------------------
 def _random_context(rng: random.Random, machine: Machine, veto_log: list):
     """Randomized SchedulingContext exercising the documented hazards:

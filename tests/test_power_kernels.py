@@ -2,9 +2,9 @@
 were extracted from.
 
 These tests pin each kernel in :mod:`repro.power.kernels` against the
-engine code it was extracted from (``operating_points``, the profile's
-deque scan) and the mirror's bulk transition scatter against its
-documented contract.
+engine code it was extracted from (``operating_points``, the list
+profile's deque scan) and the mirror's bulk transition scatter against
+its documented contract.
 """
 
 from __future__ import annotations
@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 from repro.cluster import Machine, MachineSpec, NodeState
-from repro.core.profile import FreeNodeProfile
 from repro.power import kernels
 from repro.power.model import NodePowerModel
 from repro.power.vector import STATE_CODES, VectorPowerMirror
-from tests.backfill_oracles import earliest_fit_index_py
+from tests.backfill_oracles import (
+    ReferenceFreeNodeProfile,
+    earliest_fit_index_py,
+)
 
 
 def random_mirror(seed: int, n: int = 96) -> VectorPowerMirror:
@@ -93,8 +95,10 @@ class TestNodeWatts:
 
 class TestEarliestFit:
     @staticmethod
-    def random_profile(rng) -> FreeNodeProfile:
-        profile = FreeNodeProfile.from_releases(
+    def random_profile(rng) -> ReferenceFreeNodeProfile:
+        """A reserved (non-monotone) list profile: 40 releases, then a
+        few reservations subtracted."""
+        profile = ReferenceFreeNodeProfile.from_releases(
             0.0,
             int(rng.integers(0, 8)),
             [
@@ -106,7 +110,7 @@ class TestEarliestFit:
             ],
         )
         for _ in range(int(rng.integers(1, 8))):
-            start = float(rng.uniform(0.0, profile.tail_time))
+            start = float(rng.uniform(0.0, profile.times[-1]))
             end = start + float(rng.uniform(1.0, 400.0))
             profile.reserve(start, end, int(rng.integers(1, 4)))
         return profile
@@ -115,17 +119,21 @@ class TestEarliestFit:
     def test_ring_buffer_matches_deque_scan(self, seed):
         rng = np.random.default_rng(seed)
         profile = self.random_profile(rng)
-        assert not profile._monotone
+        free_l = profile.free
+        assert any(b < a for a, b in zip(free_l, free_l[1:]))  # reserved
+        times = np.array(profile.times, dtype=np.float64)
+        free = np.array(profile.free, dtype=np.int64)
         for _ in range(25):
             needed = int(rng.integers(1, 12))
             duration = float(rng.uniform(0.0, 600.0))
             ref = profile.earliest_fit(needed, duration)
-            idx = earliest_fit_index_py(
-                profile.times, profile.free, needed, duration
-            )
-            got = None if idx < 0 else profile.times[idx]
-            assert got == ref, (needed, duration)
-
+            for idx in (
+                earliest_fit_index_py(profile.times, profile.free,
+                                      needed, duration),
+                kernels.earliest_fit_index_np(times, free, needed, duration),
+            ):
+                got = None if idx < 0 else profile.times[idx]
+                assert got == ref, (needed, duration)
 
 
 class TestApplyTransition:

@@ -1,13 +1,12 @@
-"""Equivalence sweeps for the array-backed free-node profile and the
-SoA execution-membership arrays.
+"""Equivalence sweeps for the free-node release curve and its kernels,
+and for the SoA execution-membership arrays.
 
-The array :class:`repro.core.profile.FreeNodeProfile` (numpy backing
-and kernels) must be decision-for-decision identical to the
-list-based ``ReferenceFreeNodeProfile`` of ``tests/backfill_oracles.py``
-— the PR-2 implementation preserved verbatim as an executable spec.
-Hypothesis drives randomized release/reserve/query sequences through
-both and compares every observable: step points, free counts, query
-answers, raised errors.
+:func:`repro.core.backfill.release_curve` must build exactly the curve
+of the list-based ``ReferenceFreeNodeProfile.from_releases`` in
+``tests/backfill_oracles.py`` — the earlier implementation preserved
+as an executable spec — and the numpy planner kernels must match their
+plain-python twins.  Hypothesis drives randomized release lists
+through both and compares breakpoints, counts and raised errors.
 
 The second half pins the SoA execution membership
 (``exec_slot`` rows + slot table) across snapshot/restore taken
@@ -25,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import Machine, MachineSpec
 from repro.core import ClusterSimulation, EasyBackfillScheduler
-from repro.core.profile import FreeNodeProfile
+from repro.core.backfill import release_curve
 from repro.errors import SchedulingError
 from repro.power import kernels
 from repro.state import (
@@ -38,113 +37,48 @@ from repro.state import (
 from repro.workload import Job
 from tests.backfill_oracles import (
     ReferenceFreeNodeProfile,
+    _ensure_point_list,
     earliest_fit_index_py,
 )
 
 # ----------------------------------------------------------------------
-# Strategies: randomized build + operation sequences
+# Strategies: randomized release lists
 # ----------------------------------------------------------------------
 _times = st.floats(min_value=0.0, max_value=1e5,
                    allow_nan=False, allow_infinity=False)
 _counts = st.integers(min_value=0, max_value=64)
 
-# Release lists crossing the vectorized from_releases threshold (16)
-# in both directions, with duplicate timestamps and at/before-origin
-# folds all reachable.
-_releases = st.lists(st.tuples(_times, _counts), min_size=0, max_size=40)
-
-_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("add"), _times, _counts),
-        st.tuples(st.just("reserve"), _times,
-                  st.floats(min_value=0.0, max_value=5e4,
-                            allow_nan=False, allow_infinity=False),
-                  st.integers(min_value=1, max_value=32)),
-        st.tuples(st.just("fit"), st.integers(min_value=0, max_value=128),
-                  st.floats(min_value=0.0, max_value=5e4,
-                            allow_nan=False, allow_infinity=False)),
-        st.tuples(st.just("at_least"), st.integers(min_value=0, max_value=128),
-                  _times),
-        st.tuples(st.just("free_at"), _times),
-    ),
-    min_size=0, max_size=30,
-)
-
-
-def _assert_same_profile(arr: FreeNodeProfile,
-                         ref: ReferenceFreeNodeProfile) -> None:
-    assert len(arr) == len(ref)
-    assert arr.times.tolist() == ref.times
-    assert arr.free.tolist() == ref.free
-    assert arr.tail_time == ref.tail_time
+# Release lists with duplicate timestamps and at/before-origin folds
+# all reachable; origin -inf is the EASY shadow curve.
+_releases = st.lists(st.tuples(_times, _counts), min_size=0, max_size=48)
+_origins = st.one_of(_times, st.just(float("-inf")))
 
 
 class TestProfileEquivalence:
-    @given(origin=_times, free_now=_counts, releases=_releases, ops=_ops)
+    @given(origin=_origins, free_now=_counts, releases=_releases)
     @settings(max_examples=200, deadline=None)
     def test_randomized_sequences_decision_identical(
-        self, origin, free_now, releases, ops
+        self, origin, free_now, releases
     ):
-        arr = FreeNodeProfile.from_releases(origin, free_now, releases)
+        times, free = release_curve(origin, free_now, releases)
         ref = ReferenceFreeNodeProfile.from_releases(origin, free_now, releases)
-        _assert_same_profile(arr, ref)
+        assert times == ref.times
+        assert free == ref.free
+        assert all(type(f) is int for f in free)
 
-        for op in ops:
-            kind = op[0]
-            if kind == "add":
-                _, time, count = op
-                arr.add_release(time, count)
-                ref.add_release(time, count)
-            elif kind == "reserve":
-                _, start, dur, count = op
-                start = max(start, origin)
-                arr.reserve(start, start + dur, count)
-                ref.reserve(start, start + dur, count)
-            elif kind == "fit":
-                _, needed, dur = op
-                got, want = arr.earliest_fit(needed, dur), ref.earliest_fit(
-                    needed, dur)
-                assert got == want
-                assert got is None or type(got) is float
-            elif kind == "at_least":
-                _, needed, not_before = op
-                if arr._monotone:
-                    got = arr.earliest_at_least(needed, not_before)
-                    want = ref.earliest_at_least(needed, not_before)
-                    assert got == want
-                    assert got is None or type(got) is float
-            else:
-                _, time = op
-                got, want = arr.free_at(time), ref.free_at(time)
-                assert got == want and type(got) is int
-            _assert_same_profile(arr, ref)
-
-    @given(origin=_times, free_now=_counts)
+    @given(origin=_times, free_now=_counts, releases=_releases,
+           at=st.integers(min_value=0, max_value=48))
     @settings(max_examples=30, deadline=None)
-    def test_error_paths_match(self, origin, free_now):
-        arr = FreeNodeProfile(origin, free_now)
-        ref = ReferenceFreeNodeProfile(origin, free_now)
-        for prof in (arr, ref):
+    def test_error_paths_match(self, origin, free_now, releases, at):
+        # A negative count anywhere in the list, folded into the base
+        # or not, is refused by both.
+        releases = list(releases)
+        releases.insert(min(at, len(releases)), (origin + 1.0, -1))
+        for build in (release_curve, ReferenceFreeNodeProfile.from_releases):
             with pytest.raises(SchedulingError):
-                prof.add_release(origin + 1.0, -1)
+                build(origin, free_now, releases)
             with pytest.raises(SchedulingError):
-                prof.reserve(origin + 1.0, origin + 2.0, 0)
-            with pytest.raises(SchedulingError):
-                prof.reserve(origin - 1.0, origin + 1.0, 1)
-            prof.reserve(origin + 1.0, origin + 2.0, 1)
-            with pytest.raises(SchedulingError):
-                prof.earliest_at_least(1, origin)
-        _assert_same_profile(arr, ref)
-
-    @given(releases=st.lists(st.tuples(_times, _counts),
-                             min_size=16, max_size=48))
-    @settings(max_examples=60, deadline=None)
-    def test_vectorized_from_releases_matches_fold(self, releases):
-        """Above the vectorization threshold the np.unique/cumsum build
-        must equal the one-by-one reference fold exactly."""
-        arr = FreeNodeProfile.from_releases(0.0, 5, releases)
-        ref = ReferenceFreeNodeProfile.from_releases(0.0, 5, releases)
-        _assert_same_profile(arr, ref)
+                build(origin + 2.0, free_now, releases)
 
 
 # ----------------------------------------------------------------------
@@ -178,17 +112,21 @@ class TestInsertPointKernelTwins:
         n = int(rng.integers(2, 30))
         base_t = np.sort(rng.uniform(0.0, 100.0, size=n))
         base_f = rng.integers(0, 50, size=n).astype(np.int64)
-        for idx in range(1, n):
-            t = float(rng.uniform(base_t[idx - 1], base_t[idx]))
+        # Fresh points inside each segment and past the tail, plus
+        # every existing breakpoint (found, nothing inserted).
+        points = [float(rng.uniform(base_t[i - 1], base_t[i]))
+                  for i in range(1, n)]
+        points += [float(base_t[-1]) + 1.0] + base_t.tolist()
+        for x in points:
             times = np.concatenate([base_t, [0.0]])
             free = np.concatenate([base_f, [0]])
-            kernels.insert_point_np(times, free, n, idx, t)
+            idx, new_n = kernels._ensure_point_arr(times, free, n, x)
             lt = base_t.tolist()
             lf = base_f.tolist()
-            lt.insert(idx, t)
-            lf.insert(idx, lf[idx - 1])
-            assert times.tolist() == lt
-            assert free.tolist() == lf
+            assert idx == _ensure_point_list(lt, lf, x)
+            assert new_n == len(lt)
+            assert times[:new_n].tolist() == lt
+            assert free[:new_n].tolist() == lf
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Machine, MachineSpec, NodeState
-from repro.core import ClusterSimulation, EasyBackfillScheduler
+from repro.core import (
+    ClusterSimulation,
+    ConservativeBackfillScheduler,
+    EasyBackfillScheduler,
+    FcfsScheduler,
+    PredictiveEasyScheduler,
+)
+from repro.policies import PowerAwareAdmissionPolicy
 from repro.simulator import RngStreams
+from repro.workload.job import JobState
 from repro.units import HOUR
 from repro.workload import (
     WorkloadGenerator,
@@ -68,28 +76,86 @@ class TestWorkloadProperties:
             assert abs(parsed.work_seconds - original.work_seconds) <= 1.0
 
 
+_SCHEDULERS = (
+    FcfsScheduler,
+    EasyBackfillScheduler,
+    ConservativeBackfillScheduler,
+    PredictiveEasyScheduler,
+)
+
+
+_SPEC = MachineSpec(name="m", nodes=8)
+
+
+def _stacks(jobs):
+    """Every (scheduler, policies) stack under test: each scheduler
+    bare and behind a power-aware admission gate.  The budget lets any
+    one of *jobs* start on an otherwise idle machine, so admission
+    delays jobs but never strands one."""
+    node = Machine(_SPEC).nodes[0]
+    widest = max(
+        j.nodes * (node.max_power - node.idle_power) * j.mean_power_intensity
+        for j in jobs
+    )
+    budget = _SPEC.nodes * node.idle_power + widest + 1.0
+    for cls in _SCHEDULERS:
+        yield cls.__name__, cls(), []
+        yield (f"{cls.__name__}+admission", cls(),
+               [PowerAwareAdmissionPolicy(budget_watts=budget)])
+
+
+def _conservation_jobs(seed, count=25):
+    spec = WorkloadSpec(arrival_rate=20.0 / HOUR, duration=4 * HOUR,
+                        max_nodes=8, mean_work=HOUR / 4)
+    return WorkloadGenerator(spec, RngStreams(seed).stream("wl")).generate(
+        count=count
+    )
+
+
 class TestSimulationConservation:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=15, deadline=None)
     def test_every_job_reaches_terminal_state(self, seed):
-        machine = Machine(MachineSpec(name="m", nodes=8))
-        spec = WorkloadSpec(arrival_rate=20.0 / HOUR, duration=4 * HOUR,
-                            max_nodes=8, mean_work=HOUR / 4)
-        jobs = WorkloadGenerator(spec, RngStreams(seed).stream("wl")).generate(
-            count=25
-        )
-        sim = ClusterSimulation(machine, EasyBackfillScheduler(), jobs,
-                                seed=seed)
-        result = sim.run()
-        assert all(j.is_terminal for j in jobs)
-        m = result.metrics
-        assert (m.jobs_completed + m.jobs_killed + m.jobs_timed_out
-                == m.jobs_submitted)
-        # All nodes returned to idle.
-        assert all(n.state is NodeState.IDLE for n in machine.nodes)
-        # Energy is positive and utilization within physical bounds.
-        assert m.total_energy_joules > 0
-        assert 0.0 <= m.utilization <= 1.0
+        for label, scheduler, policies in _stacks(_conservation_jobs(seed)):
+            machine = Machine(_SPEC)
+            jobs = _conservation_jobs(seed)
+            sim = ClusterSimulation(machine, scheduler, jobs,
+                                    policies=policies, seed=seed)
+            result = sim.run()
+            assert all(j.is_terminal for j in jobs), label
+            m = result.metrics
+            assert (m.jobs_completed + m.jobs_killed + m.jobs_timed_out
+                    == m.jobs_submitted), label
+            # All nodes returned to idle.
+            assert all(n.state is NodeState.IDLE for n in machine.nodes), label
+            # Energy is positive and utilization within physical bounds.
+            assert m.total_energy_joules > 0, label
+            assert 0.0 <= m.utilization <= 1.0, label
+
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.floats(min_value=0.1, max_value=0.9))
+    @settings(max_examples=8, deadline=None)
+    def test_jobs_conserved_when_stopped_mid_run(self, seed, cut):
+        """submitted = completed + timed-out + killed + running +
+        queued + not yet submitted, at an arbitrary stop time."""
+        for label, scheduler, policies in _stacks(_conservation_jobs(seed)):
+            machine = Machine(_SPEC)
+            jobs = _conservation_jobs(seed)
+            until = cut * max(j.submit_time for j in jobs)
+            sim = ClusterSimulation(machine, scheduler, jobs,
+                                    policies=policies, seed=seed)
+            m = sim.run(until=until).metrics
+            running = len(sim.running_jobs())
+            queued = len(sim.queue)
+            future = sum(1 for j in jobs if j.submit_time > until)
+            assert not any(j.state is JobState.CANCELLED for j in jobs)
+            assert m.jobs_submitted == len(jobs), label
+            assert (m.jobs_completed + m.jobs_timed_out + m.jobs_killed
+                    + running + queued + future == m.jobs_submitted), (
+                label, m.jobs_completed, m.jobs_timed_out, m.jobs_killed,
+                running, queued, future)
+            # The unfinished tally agrees with the live split.
+            assert m.jobs_unfinished == running + queued + future, label
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=10, deadline=None)

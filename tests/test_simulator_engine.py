@@ -1,9 +1,14 @@
 """Tests for the discrete-event engine."""
 
+import heapq
+import itertools
+import random
+
 import pytest
 
 from repro.errors import EventOrderError, SimulationError
 from repro.simulator import EventPriority, Simulator
+from repro.simulator.events import Event
 
 
 class TestScheduling:
@@ -54,6 +59,54 @@ class TestScheduling:
         sim.at(1.0, lambda a, b: got.append((a, b)), 1, "x")
         sim.run()
         assert got == [(1, "x")]
+
+
+class TestEventOrder:
+    """Events order by ``time``, then ``priority``, then ``seq``."""
+
+    @staticmethod
+    def _keys():
+        # Every combination ties with others on time, and on time plus
+        # priority; seq alone is unique.
+        combos = itertools.product(
+            [0.0, 1.0, 2.5], [EventPriority.STATE, EventPriority.CONTROL,
+                              EventPriority.REPORT], range(4)
+        )
+        return [(t, int(p), seq) for seq, (t, p, _) in enumerate(combos)]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_heap_pops_in_time_priority_seq_order(self, seed):
+        keys = self._keys()
+        shuffled = keys[:]
+        random.Random(seed).shuffle(shuffled)
+        heap = []
+        for t, p, seq in shuffled:
+            heapq.heappush(heap, Event(t, p, seq, lambda: None))
+        popped = [heapq.heappop(heap) for _ in range(len(heap))]
+        assert [(e.time, e.priority, e.seq) for e in popped] == sorted(keys)
+
+    def test_lt_compares_field_by_field(self):
+        def ev(t, p, seq):
+            return Event(t, p, seq, lambda: None)
+
+        assert ev(1.0, 30, 0) < ev(2.0, 0, 0)  # time first
+        assert ev(1.0, 0, 9) < ev(1.0, 10, 0)  # then priority
+        assert ev(1.0, 10, 3) < ev(1.0, 10, 4)  # then seq
+        assert not ev(1.0, 10, 4) < ev(1.0, 10, 4)
+        assert not ev(2.0, 0, 0) < ev(1.0, 30, 9)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_engine_fires_restored_events_in_order(self, sim, seed):
+        # restore_event plants explicit seqs, so the engine's heap sees
+        # the same shuffled ties as above.
+        keys = self._keys()
+        shuffled = keys[:]
+        random.Random(100 + seed).shuffle(shuffled)
+        fired = []
+        for t, p, seq in shuffled:
+            sim.restore_event(t, p, seq, fired.append, ((t, p, seq),))
+        sim.run()
+        assert fired == sorted(keys)
 
 
 class TestCancellation:
