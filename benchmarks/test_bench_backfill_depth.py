@@ -24,6 +24,7 @@ from repro.core import (
 from repro.core.scheduler import RunningJobInfo
 from repro.workload import Job
 from tests.backfill_oracles import ReferenceConservativeBackfillScheduler
+from tests.conftest import make_selection
 
 from .conftest import bench_machine, write_artifact
 
@@ -65,12 +66,11 @@ def _deep_context(machine, depth: int) -> SchedulingContext:
         )
         for j in range(depth)
     ]
-    available = [n for n in machine.nodes if n.is_available]
     return SchedulingContext(
         now=now,
         machine=machine,
         pending=pending,
-        available=available,
+        selection=make_selection(machine),
         running=running,
         admit=lambda job: True,
         usable_node_count=n_nodes,

@@ -29,6 +29,8 @@ import json
 import time
 import timeit
 
+import numpy as np
+
 from repro.cluster import NodeState
 from repro.core import ClusterSimulation, FcfsScheduler
 
@@ -223,7 +225,7 @@ def test_bench_context_build(artifact_dir):
 
     ctx = csim.build_context()
     ref_available, ref_usable = reference_scan()
-    assert [a.node_id for a in ctx.available] == [
+    assert np.flatnonzero(ctx.selection.avail_mask).tolist() == [
         r.node_id for r in ref_available
     ]
     assert ctx.usable_node_count == ref_usable

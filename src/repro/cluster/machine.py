@@ -10,7 +10,7 @@ TSUBAME3 inter-system capping; CEA shifting budget between systems).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from ..errors import ClusterError, NodeStateError
 from ..units import check_positive
@@ -55,7 +55,10 @@ class Machine:
 
     Construction from a :class:`MachineSpec` builds homogeneous nodes;
     pass a prebuilt node list for heterogeneous systems (e.g. the
-    CPU+GPU+MIC Eurora machine at CINECA).
+    CPU+GPU+MIC Eurora machine at CINECA).  Node ids are positions:
+    ``nodes[i].node_id == i``, so a node id is also the row of every
+    per-node array the simulation keeps (availability masks, the power
+    mirror), and no id -> row translation exists anywhere.
     """
 
     def __init__(
@@ -87,9 +90,12 @@ class Machine:
                 f"machine {spec.name!r}: spec says {spec.nodes} nodes, "
                 f"got {len(self.nodes)}"
             )
-        self._by_id: Dict[int, Node] = {n.node_id: n for n in self.nodes}
-        if len(self._by_id) != len(self.nodes):
-            raise ClusterError(f"machine {spec.name!r}: duplicate node ids")
+        for row, node in enumerate(self.nodes):
+            if node.node_id != row:
+                raise ClusterError(
+                    f"machine {spec.name!r}: node at position {row} has id "
+                    f"{node.node_id}; ids must be 0..{spec.nodes - 1} in order"
+                )
 
         self.cabinets: List[Cabinet] = []
         per = spec.nodes_per_cabinet
@@ -144,13 +150,7 @@ class Machine:
         lookup.
         """
         if nodes is None:
-            by_id = self._by_id
-            try:
-                nodes = [by_id[nid] for nid in node_ids]
-            except KeyError as exc:
-                raise ClusterError(
-                    f"machine {self.name!r}: no node {exc.args[0]}"
-                ) from None
+            nodes = [self.node(nid) for nid in node_ids]
         # Validate with an identity-deduped legality check: cohorts are
         # almost always homogeneous (all IDLE -> BUSY, all BUSY ->
         # IDLE), so the enum hash for the TRANSITIONS lookup is paid
@@ -209,11 +209,10 @@ class Machine:
         return node_ids
 
     def node(self, node_id: int) -> Node:
-        """Look up a node by id."""
-        try:
-            return self._by_id[node_id]
-        except KeyError:
-            raise ClusterError(f"machine {self.name!r}: no node {node_id}") from None
+        """Look up a node by id (its position in :attr:`nodes`)."""
+        if not 0 <= node_id < len(self.nodes):
+            raise ClusterError(f"machine {self.name!r}: no node {node_id}")
+        return self.nodes[node_id]
 
     def nodes_in_state(self, state: NodeState) -> List[Node]:
         """All nodes currently in *state*."""

@@ -11,7 +11,6 @@ allocation machinery, and the metrics every evaluation reports.
 from .queue import JobQueue, QueueConfig
 from .scheduler import (
     FcfsScheduler,
-    NodePool,
     Scheduler,
     SchedulingContext,
     StartDecision,
@@ -47,7 +46,6 @@ __all__ = [
     "FairShareAccountingPolicy",
     "FairShareScheduler",
     "FcfsScheduler",
-    "NodePool",
     "FirstFitAllocator",
     "PredictiveEasyScheduler",
     "RuntimeLearningPolicy",

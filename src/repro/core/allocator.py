@@ -10,27 +10,20 @@ from the surveyed material:
 * low-power-first — exploit manufacturing variability ([25], [39]) by
   preferring nodes that draw less power for the same work.
 
-Each strategy defines its semantics on the scalar object path
-(:meth:`Allocator.select`, Python lists + ``sorted``).  Strategies
-whose ordering is a pure key sort additionally implement
-:meth:`Allocator.select_rows` over a :class:`~repro.core.scheduler.RowPool`
-— one numpy kernel over the pool's row indices instead of a Python
-sort of node objects — flagged by ``supports_rows``.  Row selection is
-*decision-identical* to the scalar sort (same nodes, same order,
-including tie-breaking by node id); the equivalence is pinned by
-randomized tests in ``tests/test_core_allocator.py``.
+Every strategy picks from a :class:`~repro.core.scheduler.RowPool`:
+the pass's free nodes as ascending row indices, which are node ids.
+The seed's object implementations (``sorted`` over node lists) live
+on as test oracles in ``tests/backfill_oracles.py``; randomized tests
+in ``tests/test_core_allocator.py`` pin every row selection to them,
+same nodes in the same order.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from ..cluster.machine import Machine
-from ..cluster.node import Node
-from ..cluster.topology import Topology
 from ..errors import AllocationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -55,13 +48,9 @@ def check_pool(available: int, requested: int) -> None:
 
 
 class Allocator:
-    """Base class: pick ``count`` nodes from the available pool."""
+    """Base class: pick ``count`` nodes from a pass's pool."""
 
     name = "base"
-
-    #: True when :meth:`select_rows` is implemented; schedulers then
-    #: feed the allocator a RowPool instead of materialized node lists.
-    supports_rows = False
 
     def begin_pass(self, now: float) -> None:
         """Called once at the top of every scheduling pass, before any
@@ -69,41 +58,24 @@ class Allocator:
         state here (e.g. sampled-seed draws) so repeated selections
         within one pass are deterministic.  Default: no-op."""
 
-    def select(
-        self, machine: Machine, available: Sequence[Node], count: int
-    ) -> List[Node]:
-        """Return exactly *count* nodes from *available*.
+    def select(self, pool: "RowPool", count: int) -> np.ndarray:
+        """Return the rows (node ids) of exactly *count* nodes from
+        *pool*, in grant order.
 
         Raises :class:`AllocationError` if the pool is too small —
         callers are expected to check fit first.
         """
         raise NotImplementedError
 
-    def select_rows(self, pool: "RowPool", count: int) -> np.ndarray:
-        """Row-index twin of :meth:`select` over a RowPool (only when
-        ``supports_rows``); must return the same nodes in the same
-        order as the scalar path."""
-        raise NotImplementedError(f"{self.name} has no row selection path")
-
-    def _check(self, available: Sequence[Node], count: int) -> None:
-        check_pool(len(available), count)
-
 
 class FirstFitAllocator(Allocator):
     """Lowest node ids first — deterministic baseline."""
 
     name = "first-fit"
-    supports_rows = True
 
-    def select(
-        self, machine: Machine, available: Sequence[Node], count: int
-    ) -> List[Node]:
-        self._check(available, count)
-        return sorted(available, key=attrgetter("node_id"))[:count]
-
-    def select_rows(self, pool: "RowPool", count: int) -> np.ndarray:
-        # Pool rows are already in ascending id order: first-fit is a
-        # monotone slice, no sort at all.
+    def select(self, pool: "RowPool", count: int) -> np.ndarray:
+        check_pool(len(pool), count)
+        # Pool rows are ascending ids: first-fit is a slice.
         return pool.rows[:count]
 
 
@@ -115,23 +87,15 @@ class LowPowerAllocator(Allocator):
     """
 
     name = "low-power"
-    supports_rows = True
 
-    def select(
-        self, machine: Machine, available: Sequence[Node], count: int
-    ) -> List[Node]:
-        self._check(available, count)
-        return sorted(
-            available, key=attrgetter("effective_max_power", "node_id")
-        )[:count]
-
-    def select_rows(self, pool: "RowPool", count: int) -> np.ndarray:
-        """Decision-identical to ``sorted(key=(eff_max_power, id))[:count]``
-        without sorting the whole pool: an O(n) argpartition bounds the
-        winning key, the boundary is resolved in id order (equal keys
-        cannot straddle the strict/equal split, and ``flatnonzero``
-        yields ascending rows == ascending ids), and only the *count*
-        winners are sorted."""
+    def select(self, pool: "RowPool", count: int) -> np.ndarray:
+        """``sorted(key=(effective_max_power, id))[:count]`` without
+        sorting the whole pool: an O(n) argpartition bounds the winning
+        key, the boundary is resolved in id order (equal keys cannot
+        straddle the strict/equal split, and ``flatnonzero`` yields
+        ascending rows == ascending ids), and only the *count* winners
+        are sorted."""
+        check_pool(len(pool), count)
         rows = pool.rows
         keys = pool.selection.eff_max_power(rows)
         if count >= rows.size:
@@ -149,10 +113,10 @@ class LowPowerAllocator(Allocator):
 class TopologyAwareAllocator(Allocator):
     """Greedy compact placement on the machine's topology.
 
-    Strategy: try each cabinet-aligned contiguous window first (cheap
-    and usually compact); fall back to a greedy nearest-neighbour
-    expansion from the best seed.  Falls back to first-fit when the
-    machine has no topology.
+    Strategy: try each contiguous-id window first (cheap and usually
+    compact); fall back to a greedy nearest-neighbour expansion from
+    the best seed.  Falls back to first-fit when the machine has no
+    topology.
 
     Seeds for the greedy expansion are deterministic stride positions
     by default.  With ``rng_seed`` set they are *sampled* instead —
@@ -196,49 +160,51 @@ class TopologyAwareAllocator(Allocator):
         step = max(1, pool_size // self.sample_seeds)
         return list(range(0, pool_size, step))
 
-    def select(
-        self, machine: Machine, available: Sequence[Node], count: int
-    ) -> List[Node]:
-        self._check(available, count)
-        topo: Optional[Topology] = machine.topology
-        ordered = sorted(available, key=attrgetter("node_id"))
+    def select(self, pool: "RowPool", count: int) -> np.ndarray:
+        check_pool(len(pool), count)
+        rows = pool.rows
+        topo = pool.selection.machine.topology
         if topo is None or count == 1:
-            return ordered[:count]
+            return rows[:count]
 
-        # Contiguous-id window: in all three topology builders node ids
-        # are laid out with locality, so a contiguous window is compact.
-        best_window: Optional[List[Node]] = None
+        # Contiguous-id windows: in all three topology builders node
+        # ids are laid out with locality, so such a window is compact.
+        # The first window of least cost wins.
+        spans = rows[count - 1:] - rows[: rows.size - count + 1]
+        best_start = -1
         best_cost = float("inf")
-        ids = [n.node_id for n in ordered]
-        for start in range(0, len(ordered) - count + 1):
-            window_ids = ids[start : start + count]
-            # Perfectly contiguous windows are likely compact; score them.
-            if window_ids[-1] - window_ids[0] == count - 1:
-                cost = topo.placement_cost(window_ids)
-                if cost < best_cost:
-                    best_cost = cost
-                    best_window = ordered[start : start + count]
-        if best_window is not None:
-            return best_window
+        for start in np.flatnonzero(spans == count - 1).tolist():
+            cost = topo.placement_cost(rows[start : start + count].tolist())
+            if cost < best_cost:
+                best_start, best_cost = start, cost
+        if best_start >= 0:
+            return rows[best_start : best_start + count]
 
-        # Greedy expansion from a few seeds.
-        best_sel: Optional[List[Node]] = None
-        for seed_idx in self._seed_indices(len(ordered)):
-            seed = ordered[seed_idx]
-            chosen = [seed]
-            rest = [n for n in ordered if n is not seed]
+        # Greedy expansion from a few seeds: repeatedly take the free
+        # node nearest to the chosen set, lowest id on ties.  ``near``
+        # holds each row's distance to the chosen set (inf once taken),
+        # folded in as each node joins, so argmin's first hit is the
+        # (distance, id) minimum.
+        ids = rows.tolist()
+        distance = topo.distance
+        best_sel: Optional[List[int]] = None
+        for seed_idx in self._seed_indices(len(ids)):
+            chosen = [ids[seed_idx]]
+            taken = [seed_idx]
+            near = np.full(len(ids), np.inf)
             while len(chosen) < count:
-                nearest = min(
-                    rest,
-                    key=lambda n: (
-                        min(topo.distance(n.node_id, c.node_id) for c in chosen),
-                        n.node_id,
-                    ),
+                last = chosen[-1]
+                np.minimum(
+                    near,
+                    np.fromiter((distance(last, i) for i in ids), float, len(ids)),
+                    out=near,
                 )
-                chosen.append(nearest)
-                rest.remove(nearest)
-            cost = topo.placement_cost([n.node_id for n in chosen])
+                near[taken] = np.inf
+                k = int(np.argmin(near))
+                chosen.append(ids[k])
+                taken.append(k)
+            cost = topo.placement_cost(chosen)
             if best_sel is None or cost < best_cost:
                 best_sel, best_cost = chosen, cost
         assert best_sel is not None
-        return best_sel
+        return np.array(best_sel, dtype=np.intp)

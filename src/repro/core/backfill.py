@@ -129,7 +129,7 @@ class EasyBackfillScheduler(Scheduler):
             return decisions
         nodes_a, wall_a = ctx.pending_arrays
         admit = ctx.admit
-        pool = self._make_pool(ctx)
+        pool = ctx.pool()
         screen = m >= _SCREEN_MIN_JOBS
 
         # Phase 1: start jobs in order while they fit and are admitted.
@@ -152,7 +152,7 @@ class EasyBackfillScheduler(Scheduler):
             if admit is not None and not admit(job):
                 blocked_idx = i
                 break
-            decisions.append(StartDecision(job, self._grant(ctx, job, pool)))
+            decisions.append(StartDecision(job, self._grant(job, pool)))
         if blocked_idx >= m:
             return decisions
 
@@ -183,7 +183,7 @@ class EasyBackfillScheduler(Scheduler):
                 continue
             ends_before_shadow = now + runtimes[k] <= shadow
             if ends_before_shadow or job.nodes <= spare:
-                nodes = self._grant(ctx, job, pool)
+                nodes = self._grant(job, pool)
                 if not ends_before_shadow:
                     spare -= job.nodes
                 decisions.append(StartDecision(job, nodes))
@@ -388,11 +388,11 @@ class ConservativeBackfillScheduler(Scheduler):
 
         decisions: List[StartDecision] = []
         if n_starts:
-            pool = self._make_pool(ctx)
+            pool = ctx.pool()
             for i in range(n_starts):
                 job = pending[int(starts_out[i])]
                 decisions.append(
-                    StartDecision(job, self._grant(ctx, job, pool))
+                    StartDecision(job, self._grant(job, pool))
                 )
         if self.capture_reservations:
             self.last_reservations = [

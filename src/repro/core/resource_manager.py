@@ -133,7 +133,8 @@ class ResourceManager:
         eligible = [n for n in nodes if n.state is NodeState.OFF]
         if len(eligible) > 1 and self.machine.bulk_listener is not None:
             self.machine.transition_bulk(
-                [n.node_id for n in eligible], NodeState.BOOTING, self.sim.now
+                [n.node_id for n in eligible], NodeState.BOOTING, self.sim.now,
+                nodes=eligible,
             )
             self.boots_initiated += len(eligible)
             self._emit_nodes("rm.boot.start", eligible)
@@ -158,6 +159,7 @@ class ResourceManager:
                 [n.node_id for n in eligible],
                 NodeState.SHUTTING_DOWN,
                 self.sim.now,
+                nodes=eligible,
             )
             self.shutdowns_initiated += len(eligible)
             self._emit_nodes("rm.shutdown.start", eligible)

@@ -231,16 +231,8 @@ class ClusterSimulation:
         # Incremental scheduling context: availability and usable-node
         # masks maintained on node state transitions (the same listener
         # feed as power accounting) so build_context() never scans all
-        # N nodes.  Row order == machine.nodes order, which preserves
-        # the seed's id-ordered available list.
-        self._node_row: Dict[int, int] = {
-            node.node_id: row for row, node in enumerate(machine.nodes)
-        }
-        #: True when node ids ARE row positions (the standard machine
-        #: layout): cohort row lookups then skip the per-id dict walk.
-        self._rows_are_ids = all(
-            node.node_id == row for row, node in enumerate(machine.nodes)
-        )
+        # N nodes.  Rows are node ids (the Machine invariant), so the
+        # mask walks in the seed's id order.
         self._avail_mask = np.fromiter(
             (n.is_available for n in machine.nodes), dtype=bool,
             count=len(machine.nodes),
@@ -311,7 +303,7 @@ class ClusterSimulation:
         # must not pay per-job/per-node dispatch for default no-op hooks.
         if type(policy).select_configuration is not Policy.select_configuration:
             self._shaping_policies.append(policy)
-        if type(policy).filter_nodes is not Policy.filter_nodes:
+        if type(policy).filter_rows is not Policy.filter_rows:
             self._filter_policies.append(policy)
         for name, category, desc in policy.epa_components():
             self.epa.register(name, category, desc)
@@ -336,15 +328,14 @@ class ClusterSimulation:
         """``Node.power_listener`` target: one node's state, cap or
         frequency changed.  Updates the scheduling-context masks and
         routes the change into the power mirror."""
-        row = self._node_row[node_id]
-        state = self.machine.nodes[row].state
+        state = self.machine.nodes[node_id].state
         avail = state is NodeState.IDLE
-        if avail != bool(self._avail_mask[row]):
-            self._avail_mask[row] = avail
+        if avail != bool(self._avail_mask[node_id]):
+            self._avail_mask[node_id] = avail
             self._avail_count += 1 if avail else -1
         is_down = state is NodeState.DOWN
-        if is_down != bool(self._down_mask[row]):
-            self._down_mask[row] = is_down
+        if is_down != bool(self._down_mask[node_id]):
+            self._down_mask[node_id] = is_down
             self._usable_count += -1 if is_down else 1
         self.power_vector.touch(node_id)
 
@@ -355,15 +346,7 @@ class ClusterSimulation:
         same transition.  The SoA twin of ``len(node_ids)`` calls into
         :meth:`_on_node_event`: masks update with one scatter and the
         power mirror absorbs the cohort in one pass."""
-        if self._rows_are_ids:
-            rows = np.asarray(node_ids, dtype=np.intp)
-        else:
-            node_row = self._node_row
-            rows = np.fromiter(
-                (node_row[nid] for nid in node_ids),
-                dtype=np.intp,
-                count=len(node_ids),
-            )
+        rows = np.asarray(node_ids, dtype=np.intp)
         if target is NodeState.IDLE:
             newly_avail = int(np.count_nonzero(~self._avail_mask[rows]))
             if newly_avail:
@@ -393,7 +376,7 @@ class ClusterSimulation:
         A cap moves no node state, so the scheduling masks stand; the
         power mirror absorbs the cohort in one scatter."""
         mirror = self.power_vector
-        mirror.set_caps(mirror.rows_for(node_ids), cap)
+        mirror.set_caps(np.asarray(node_ids, dtype=np.intp), cap)
 
     @property
     def usable_node_count(self) -> int:
@@ -404,7 +387,7 @@ class ClusterSimulation:
     def execution_on(self, node_id: int) -> Optional[JobExecution]:
         """Execution occupying *node_id*, or None (one O(1)
         ``exec_slot`` row read)."""
-        slot = self.power_vector.exec_slot[self._node_row[node_id]]
+        slot = self.power_vector.exec_slot[node_id]
         return self._exec_slots[slot] if slot >= 0 else None
 
     def _alloc_slot(self, execution: JobExecution) -> int:
@@ -586,7 +569,7 @@ class ClusterSimulation:
         speed, takes the new point and reschedules its completion.
         """
         mirror = self.power_vector
-        rows = mirror.rows_for(node_ids)
+        rows = np.asarray(node_ids, dtype=np.intp)
         slots = mirror.exec_slot[rows]
         slots = slots[slots >= 0]
         if slots.size == 0:
@@ -650,7 +633,7 @@ class ClusterSimulation:
         execution.placement_penalty = self._placement_penalty(job, node_ids)
         # Binding changes the nodes' billed draw (job intensity); it
         # must land in the mirror before _operating.
-        execution.rows = self.power_vector.rows_for(node_ids)
+        execution.rows = np.asarray(node_ids, dtype=np.intp)
         self.power_vector.bind_execution(
             execution.rows,
             self._alloc_slot(execution),
@@ -789,29 +772,25 @@ class ClusterSimulation:
     def build_context(self) -> SchedulingContext:
         """Snapshot the current state for the scheduler.
 
-        The availability count and the usable-node count come from
-        masks maintained on node state transitions (see
-        ``_on_node_event``), not from scanning all N nodes.  The
-        ``available`` and ``running`` object lists are *lazy*: the
-        context carries factories, and batch-aware schedulers that
-        decide on selection rows and :meth:`SchedulingContext.free_count`
-        never materialize either list — the dominant per-pass cost on
-        a congested large machine.  The factories read live state, which
-        is safe because nothing mutates nodes or executions while a
-        scheduler is deciding.  The mask is walked in row (== node id)
-        order on materialization, so the list is identical to the
-        seed's full scan.  Filter policies rewrite the available list,
-        so that path stays eager.
+        The availability mask, its count and the usable-node count are
+        maintained on node state transitions (see ``_on_node_event``),
+        not rebuilt by scanning all N nodes; the context hands the live
+        mask to the scheduler as a :class:`NodeSelection`, whose rows
+        are node ids.  Filter policies clear rows of one private copy
+        of the mask, taken before the first filter, and the context's
+        free count is then that copy's popcount.  The ``running`` list
+        is *lazy*: the context carries a factory that reads live state,
+        which is safe because nothing mutates executions while a
+        scheduler is deciding.
         """
         now = self.sim.now
-        available: Optional[List[Node]] = None
+        avail_mask = self._avail_mask
+        avail_count = self._avail_count
         if self._filter_policies:
-            available = self._available_nodes()
+            avail_mask = avail_mask.copy()
             for policy in self._filter_policies:
-                available = policy.filter_nodes(available, now)
-            avail_count = len(available)
-        else:
-            avail_count = self._avail_count
+                avail_mask = policy.filter_rows(avail_mask, now)
+            avail_count = int(np.count_nonzero(avail_mask))
 
         pending = self.queue.pending()
         # The JobTable's SoA queue columns — only when no shaping policy
@@ -847,97 +826,58 @@ class ClusterSimulation:
             def admit(job: Job) -> bool:
                 return all(p.admit(job, now) for p in self.policies)
 
-        # Vectorized selection arrays for batch-aware allocators: only
-        # when they are guaranteed to agree with the available list —
-        # row order == id order and no filter policy rewriting the list.
         mirror = self.power_vector
-        selection = None
-        if mirror._ids_monotone and not self._filter_policies:
-            selection = NodeSelection(
-                avail_mask=self._avail_mask,
-                nodes=self.machine.nodes,
-                max_power=mirror.max_power,
-                variability=mirror.variability,
-            )
-
-        usable = self._usable_count
         return SchedulingContext(
             now=now,
             machine=self.machine,
             pending=pending,
-            available=available,
+            selection=NodeSelection(
+                avail_mask=avail_mask,
+                machine=self.machine,
+                max_power=mirror.max_power,
+                variability=mirror.variability,
+            ),
             admit=admit,
-            usable_node_count=usable,
-            selection=selection,
-            available_factory=self._available_nodes,
+            usable_node_count=self._usable_count,
             running_factory=running_factory,
             avail_count=avail_count,
             pending_arrays=pending_arrays,
         )
 
-    def _available_nodes(self) -> List[Node]:
-        """Available nodes in row (== id) order, off the live mask."""
-        return list(map(
-            self.machine.nodes.__getitem__,
-            np.flatnonzero(self._avail_mask).tolist(),
-        ))
-
     def _schedule_pass(self) -> None:
         self._pass_pending = False
         # Empty-queue fast path: no pending work means no decisions, so
         # skip the context build entirely.  Gated on having no filter
-        # policies, whose per-pass filter_nodes call is observable.
+        # policies, whose per-pass filter_rows call is observable.
         if not self.queue._jobs and not self._filter_policies:
             return
         ctx = self.build_context()
         if not ctx.pending:
             return
         decisions = self.scheduler.schedule(ctx)
-        granted = set()
         now = self.sim.now
-        # Mask-based twin of the per-node grant guards: the
-        # availability mask is fed by the same listeners `is_available`
-        # reflects, and double-booking within the pass is caught by
-        # each cohort clearing its own mask rows when the job starts —
-        # so one vectorized read per decision replaces two Python scans
-        # over a (possibly 16k-wide) cohort.
-        vector_guard = self._rows_are_ids
         for decision in decisions:
             # Re-check admission at apply time: earlier starts in this
             # same pass have already raised machine power, and the
             # snapshot the scheduler saw does not reflect that.
             if not all(p.admit(decision.job, now) for p in self.policies):
                 continue
-            if vector_guard and len(decision.nodes) > 1:
-                rows = np.fromiter(
-                    (n.node_id for n in decision.nodes),
-                    dtype=np.intp,
-                    count=len(decision.nodes),
+            # One read of the live availability mask guards the whole
+            # cohort: every start clears its nodes' rows (through the
+            # node or cohort listener), so a node that is not idle, or
+            # that an earlier decision of this pass already took, fails
+            # here.
+            rows = np.fromiter(
+                (n.node_id for n in decision.nodes),
+                dtype=np.intp,
+                count=len(decision.nodes),
+            )
+            free = self._avail_mask[rows]
+            if not free.all():
+                raise SchedulingError(
+                    "scheduler picked unavailable node "
+                    f"{int(rows[np.argmin(free)])} for {decision.job.job_id}"
                 )
-                if not self._avail_mask[rows].all():
-                    bad = next(
-                        (n.node_id for n in decision.nodes
-                         if not n.is_available),
-                        int(rows[np.argmin(self._avail_mask[rows])]),
-                    )
-                    raise SchedulingError(
-                        "scheduler picked unavailable node "
-                        f"{bad} for {decision.job.job_id}"
-                    )
-            else:
-                ids = {n.node_id for n in decision.nodes}
-                if ids & granted:
-                    raise SchedulingError(
-                        "scheduler double-booked nodes for "
-                        f"{decision.job.job_id}"
-                    )
-                granted |= ids
-                for node in decision.nodes:
-                    if not node.is_available:
-                        raise SchedulingError(
-                            f"scheduler picked unavailable node {node.node_id} "
-                            f"for {decision.job.job_id}"
-                        )
             self._start_job(decision.job, decision.nodes)
 
     # ------------------------------------------------------------------

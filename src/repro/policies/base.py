@@ -4,7 +4,7 @@ A policy is the unit in which surveyed EPA techniques are packaged.
 The hook set mirrors the touch points Figure 1 gives an EPA JSRM
 solution:
 
-* ``filter_nodes`` — restrict which nodes the scheduler may use
+* ``filter_rows`` — restrict which nodes the scheduler may use
   (layout/maintenance awareness, capped partitions);
 * ``admit`` — veto a job start (power budget, prediction gate);
 * ``configure_start`` — set frequencies/caps/moldable shape as a job
@@ -18,6 +18,8 @@ solution:
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..cluster.node import Node
 from ..core.epa import FunctionalCategory
@@ -73,9 +75,20 @@ class Policy:
     # ------------------------------------------------------------------
     # Scheduling hooks
     # ------------------------------------------------------------------
-    def filter_nodes(self, nodes: List[Node], now: float) -> List[Node]:
-        """Restrict the pool of nodes the scheduler may allocate from."""
-        return nodes
+    def filter_rows(self, mask: np.ndarray, now: float) -> np.ndarray:
+        """Restrict the nodes the scheduler may allocate from.
+
+        *mask* is a boolean array over ``machine.nodes`` rows (node
+        ids) marking the nodes usable this pass.  It is one private
+        copy of the simulation's availability mask, taken before the
+        first filter and passed through every filter in policy order.
+        A filter may only *clear* rows — withhold nodes — never set
+        one; it may write *mask* in place and returns the mask the
+        next filter sees.  The pass's free count is the final mask's
+        popcount.  Overriding this hook puts the policy on every
+        scheduling pass, including passes with an empty queue.
+        """
+        return mask
 
     def admit(self, job: Job, now: float) -> bool:
         """Return False to veto starting *job* right now."""

@@ -69,10 +69,9 @@ class DvfsBudgetPolicy(Policy):
         mirror = self.simulation.power_vector
         # Evaluate the whole ladder in one kernel (descending, so argmax
         # picks the highest admissible frequency) against the reference
-        # node's row.
+        # node's row (its id).
         freqs = np.asarray(self.ladder.frequencies, dtype=float)[::-1]
-        row = mirror.rows_for([node.node_id])
-        rows = np.broadcast_to(row, freqs.shape)
+        rows = np.full(freqs.shape, node.node_id, dtype=np.intp)
         per_node = mirror.power_at_ratio(
             rows, freqs / node.max_frequency, job.mean_power_intensity
         )

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from ..cluster.node import Node
+import numpy as np
+
 from ..core.epa import FunctionalCategory
 from ..errors import PolicyError
 from ..units import check_non_negative
@@ -43,14 +44,17 @@ class LayoutAwarePolicy(Policy):
         if self.simulation.site is None:
             raise PolicyError("layout-aware policy needs a site (facility map)")
 
-    def filter_nodes(self, nodes: List[Node], now: float) -> List[Node]:
+    def filter_rows(self, mask: np.ndarray, now: float) -> np.ndarray:
+        """Clear the rows of nodes with upcoming maintenance, counting
+        the available ones withheld in ``withheld_node_passes``."""
         facility = self.simulation.site.facility
         affected = facility.nodes_under_maintenance(now, self.horizon)
         if not affected:
-            return nodes
-        kept = [n for n in nodes if n.node_id not in affected]
-        self.withheld_node_passes += len(nodes) - len(kept)
-        return kept
+            return mask
+        rows = np.fromiter(affected, dtype=np.intp, count=len(affected))
+        self.withheld_node_passes += int(np.count_nonzero(mask[rows]))
+        mask[rows] = False
+        return mask
 
     def epa_components(self) -> List[Tuple[str, FunctionalCategory, str]]:
         return [

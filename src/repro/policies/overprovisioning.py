@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..cluster.node import Node
+import numpy as np
+
 from ..core.epa import FunctionalCategory
 from ..units import check_positive
 from .base import Policy
@@ -93,33 +94,27 @@ class OverprovisioningPolicy(Policy):
     def on_tick(self, now: float) -> None:
         self._apply()
 
-    def _active_ids(self) -> set:
-        machine = self.simulation.machine
-        return {n.node_id for n in machine.nodes[: self.active_count or 0]}
-
     def _apply(self) -> None:
         n, cap, _score = self.solve_operating_point()
         self.active_count = n
         self.chosen_cap = cap
-        machine = self.simulation.machine
+        nodes = self.simulation.machine.nodes
         rm = self.simulation.rm
-        active = self._active_ids()
-        active_nodes = [nd for nd in machine.nodes if nd.node_id in active]
+        # The active partition is the first n nodes (ids 0..n-1).
+        active_nodes = nodes[:n]
         floor = max(nd.cap_floor for nd in active_nodes)
         rm.set_power_cap(active_nodes, max(cap, floor))
         # The budget covers only the active partition: power the rest
         # off, and bring active nodes back when the solution grows.
-        parked = [nd for nd in machine.nodes if nd.node_id not in active]
-        rm.shutdown_nodes(parked)
+        rm.shutdown_nodes(nodes[n:])
         rm.boot_nodes(active_nodes)
 
     # ------------------------------------------------------------------
-    def filter_nodes(self, nodes: List[Node], now: float) -> List[Node]:
+    def filter_rows(self, mask: np.ndarray, now: float) -> np.ndarray:
         """Restrict the allocatable pool to the active partition."""
-        if self.active_count is None:
-            return nodes
-        active = self._active_ids()
-        return [n for n in nodes if n.node_id in active]
+        if self.active_count is not None:
+            mask[self.active_count:] = False
+        return mask
 
     def epa_components(self) -> List[Tuple[str, FunctionalCategory, str]]:
         return [

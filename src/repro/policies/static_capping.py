@@ -73,8 +73,7 @@ class StaticCappingPolicy(Policy):
         mirror = self.simulation.power_vector
         effective_max = mirror.max_power * mirror.variability
         capped = np.zeros(len(mirror), dtype=bool)
-        if self.capped_node_ids:
-            capped[mirror.rows_for(self.capped_node_ids)] = True
+        capped[self.capped_node_ids] = True
         return float(
             np.where(
                 capped,

@@ -47,7 +47,7 @@ floating-point drift).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -99,8 +99,8 @@ class OperatingPoints:
 class VectorPowerMirror:
     """SoA mirror of one machine, bound to one :class:`NodePowerModel`.
 
-    Rows are positions in ``machine.nodes``; ``rows_for`` maps node ids
-    to rows for callers that hold ids.
+    Rows are positions in ``machine.nodes``, which are the node ids
+    (:class:`~repro.cluster.machine.Machine` enforces it).
     """
 
     def __init__(self, machine: Machine, model: NodePowerModel) -> None:
@@ -108,9 +108,6 @@ class VectorPowerMirror:
         self.model = model
         self._nodes = machine.nodes
         n = len(self._nodes)
-        self._row_of: Dict[int, int] = {
-            node.node_id: row for row, node in enumerate(self._nodes)
-        }
         self.state_code = np.zeros(n, dtype=np.int8)
         self.idle_power = np.zeros(n)
         self.max_power = np.zeros(n)
@@ -124,26 +121,14 @@ class VectorPowerMirror:
         self.power_cap = np.full(n, np.inf)
         self.utilization = np.ones(n)
         self.sensitivity = np.ones(n)
-        # Lifecycle arrays (beyond power): idle timestamps (NaN encodes
-        # "no idle timestamp", mirroring the scalar None) and node ids
-        # for id-ordered candidate ranking.
+        # Lifecycle array (beyond power): idle timestamps (NaN encodes
+        # "no idle timestamp", mirroring the scalar None).
         self.idle_since = np.full(n, np.nan)
         #: Execution-slot id per row, -1 when no execution occupies the
         #: node.  The owning simulation maps slots to JobExecution
         #: objects (``ClusterSimulation._exec_slots``): membership moves
         #: in one scatter per cohort instead of a Python loop.
         self.exec_slot = np.full(n, -1, dtype=np.int32)
-        self.node_id = np.fromiter(
-            (node.node_id for node in self._nodes), dtype=np.intp, count=n
-        )
-        self._ids_monotone = bool(
-            n < 2 or np.all(np.diff(self.node_id) > 0)
-        )
-        #: Stronger than monotone: ids ARE row positions, so cohort
-        #: row lookups reduce to an array conversion.
-        self._rows_are_ids = bool(
-            np.array_equal(self.node_id, np.arange(n, dtype=np.intp))
-        )
         #: Incremental per-state-code node counts (len == #codes):
         #: refresh_row moves one unit between buckets, so policy ticks
         #: read counts in O(1) instead of scanning the state array.
@@ -161,17 +146,6 @@ class VectorPowerMirror:
     # ------------------------------------------------------------------
     # Synchronization
     # ------------------------------------------------------------------
-    def rows_for(self, node_ids: Iterable[int]) -> np.ndarray:
-        """Row indices for *node_ids* (machine.nodes positions)."""
-        if self._rows_are_ids:
-            if not isinstance(node_ids, (list, tuple, np.ndarray)):
-                node_ids = list(node_ids)
-            return np.asarray(node_ids, dtype=np.intp)
-        row_of = self._row_of
-        return np.fromiter(
-            (row_of[nid] for nid in node_ids), dtype=np.intp
-        )
-
     def refresh_row(self, row: int) -> None:
         """Re-read one node's power-relevant fields into the arrays."""
         node = self._nodes[row]
@@ -194,9 +168,8 @@ class VectorPowerMirror:
 
     def touch(self, node_id: int) -> None:
         """``Node.power_listener`` entry point: resync + mark dirty."""
-        row = self._row_of[node_id]
-        self.refresh_row(row)
-        self._dirty.add(row)
+        self.refresh_row(node_id)
+        self._dirty.add(node_id)
 
     def set_caps(self, rows: np.ndarray, cap: Optional[float]) -> None:
         """Cohort twin of :meth:`touch` after ``Node.set_power_cap``:
@@ -454,24 +427,15 @@ class VectorPowerMirror:
             mask = (self.state_code == _IDLE) & (now - idle_since >= threshold)
         rows = np.flatnonzero(mask)
         if rows.size > 1:
-            if self._ids_monotone:
-                # flatnonzero rows are already id-ordered; a stable
-                # sort on idle_since alone yields the same
-                # (idle_since, node_id) order with one key.
-                order = np.argsort(idle_since[rows], kind="stable")
-            else:
-                order = np.lexsort((self.node_id[rows], idle_since[rows]))
-            rows = rows[order]
+            # flatnonzero rows are already id-ordered; a stable sort on
+            # idle_since alone yields the (idle_since, node_id) order.
+            rows = rows[np.argsort(idle_since[rows], kind="stable")]
         return rows
 
     def off_rows(self) -> np.ndarray:
         """Rows currently OFF, ordered by node id — the vector twin of
         ``sorted(rm.off_nodes(), key=lambda n: n.node_id)``."""
-        rows = np.flatnonzero(self.state_code == _OFF)
-        if rows.size > 1 and not self._ids_monotone:
-            order = np.argsort(self.node_id[rows], kind="stable")
-            rows = rows[order]
-        return rows
+        return np.flatnonzero(self.state_code == _OFF)
 
     # ------------------------------------------------------------------
     # Prediction kernels (policy helpers)

@@ -44,7 +44,7 @@ from ..power.budget import PowerBudget
 from ..simulator.trace import TraceRecord
 from ..workload.job import Job, JobState, MoldableConfig
 from ..workload.phases import Phase, PhaseProfile
-from .events import build_event, describe_event, simulation_roots, _roots_by_id
+from .events import build_event, describe_event, simulation_roots, _root_keys
 from .serialize import STATE_SCHEMA_VERSION, SimState
 
 #: Enums allowed to round-trip through generic attribute capture.
@@ -187,10 +187,10 @@ def _build_budget(desc: Dict[str, Any], parent: Optional[PowerBudget]) -> PowerB
 
 
 class _RestoreContext:
-    __slots__ = ("job_by_id", "machine")
+    __slots__ = ("job_index", "machine")
 
-    def __init__(self, job_by_id: Dict[str, Job], machine) -> None:
-        self.job_by_id = job_by_id
+    def __init__(self, job_index: Dict[str, Job], machine) -> None:
+        self.job_index = job_index
         self.machine = machine
 
 
@@ -201,7 +201,7 @@ def _decode_value(enc: Any, ctx: _RestoreContext) -> Any:
             return _ENUMS[kind](value)
         if "$job" in enc:
             try:
-                return ctx.job_by_id[enc["$job"]]
+                return ctx.job_index[enc["$job"]]
             except KeyError:
                 raise StateError(f"restored simulation has no job {enc['$job']!r}")
         if "$node" in enc:
@@ -367,7 +367,7 @@ def snapshot(sim_obj, extra_roots: Dict[str, Any] = None) -> SimState:
     """
     engine = sim_obj.sim
     roots = simulation_roots(sim_obj, extra_roots)
-    by_id = _roots_by_id(roots)
+    by_id = _root_keys(roots)
 
     events = [describe_event(ev, by_id) for ev in engine.iter_live_events()]
 
@@ -528,23 +528,23 @@ def restore(state: SimState, factory: Callable[[], Any],
         sim_obj.rng.stream(name).bit_generator.state = copy.deepcopy(bg_state)
 
     # --- jobs --------------------------------------------------------
-    fresh_by_id = {j.job_id: j for j in sim_obj.jobs}
+    fresh_jobs = {j.job_id: j for j in sim_obj.jobs}
     captured_ids = {entry["job_id"] for entry in data["jobs"]}
-    extra = [jid for jid in fresh_by_id if jid not in captured_ids]
+    extra = [jid for jid in fresh_jobs if jid not in captured_ids]
     if extra:
         raise StateError(
             f"factory workload has jobs absent from the checkpoint: {extra[:5]}"
         )
     jobs: List[Job] = []
     for entry in data["jobs"]:
-        job = fresh_by_id.get(entry["job_id"])
+        job = fresh_jobs.get(entry["job_id"])
         if job is not None:
             _apply_job(job, entry)
         else:
             job = _rebuild_job(entry)
         jobs.append(job)
     sim_obj.jobs = jobs
-    job_by_id = {j.job_id: j for j in jobs}
+    job_index = {j.job_id: j for j in jobs}
 
     # --- nodes -------------------------------------------------------
     nodes = sim_obj.machine.nodes
@@ -576,7 +576,7 @@ def restore(state: SimState, factory: Callable[[], Any],
     # grafting ``_jobs`` directly would leave the mirror empty.
     queue_data = data["queue"]
     sim_obj.queue.restore_jobs(
-        {jid: job_by_id[jid] for jid in queue_data["jobs"]}
+        {jid: job_index[jid] for jid in queue_data["jobs"]}
     )
     if sim_obj.queue._table.live_count != queue_data["table_live"]:
         raise StateError(
@@ -623,7 +623,7 @@ def restore(state: SimState, factory: Callable[[], Any],
     # restored above untouched.
     mirror.exec_slot.fill(-1)
     for entry in data["executions"]:
-        job = job_by_id[entry["job_id"]]
+        job = job_index[entry["job_id"]]
         exec_nodes = [sim_obj.machine.node(nid) for nid in entry["node_ids"]]
         execution = JobExecution(job, exec_nodes)
         execution.work_done = entry["work_done"]
@@ -633,7 +633,7 @@ def restore(state: SimState, factory: Callable[[], Any],
         execution.cap_violated = entry["cap_violated"]
         execution.placement_penalty = entry["placement_penalty"]
         sim_obj._executions[job.job_id] = execution
-        execution.rows = mirror.rows_for(entry["node_ids"])
+        execution.rows = np.asarray(entry["node_ids"], dtype=np.intp)
         slot = sim_obj._alloc_slot(execution)
         mirror.exec_slot[execution.rows] = slot
 
@@ -666,7 +666,7 @@ def restore(state: SimState, factory: Callable[[], Any],
         trace._buckets.setdefault(record.category, []).append(first + i)
 
     # --- scheduler / policies ---------------------------------------
-    ctx = _RestoreContext(job_by_id, sim_obj.machine)
+    ctx = _RestoreContext(job_index, sim_obj.machine)
     sched = data["scheduler"]
     if type(sim_obj.scheduler).__qualname__ != sched["class"]:
         raise StateError(
@@ -704,7 +704,7 @@ def restore(state: SimState, factory: Callable[[], Any],
     )
     handles = {}
     for desc in eng["events"]:
-        name, handle = build_event(desc, engine, roots, job_by_id, sim_obj.machine)
+        name, handle = build_event(desc, engine, roots, job_index, sim_obj.machine)
         handles[name] = handle
     for execution in sim_obj._executions.values():
         execution.end_handle = handles.get(f"end:{execution.job.job_id}")

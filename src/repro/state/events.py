@@ -54,7 +54,7 @@ def simulation_roots(sim_obj, extra_roots: Dict[str, Any] = None) -> Dict[str, A
     return roots
 
 
-def _roots_by_id(roots: Dict[str, Any]) -> Dict[int, str]:
+def _root_keys(roots: Dict[str, Any]) -> Dict[int, str]:
     return {id(obj): key for key, obj in roots.items()}
 
 
@@ -86,11 +86,11 @@ def _encode_arg(arg: Any, owner: Any, by_id: Dict[int, str], name: str) -> Any:
 
 
 def _resolve_arg(enc: Any, owner: Any, roots: Dict[str, Any],
-                 job_by_id: Dict[str, Job], machine) -> Any:
+                 job_index: Dict[str, Job], machine) -> Any:
     if isinstance(enc, dict):
         if "$job" in enc:
             try:
-                return job_by_id[enc["$job"]]
+                return job_index[enc["$job"]]
             except KeyError:
                 raise StateError(f"restored simulation has no job {enc['$job']!r}")
         if "$node" in enc:
@@ -130,7 +130,7 @@ def _describe_call(action: Callable, args: Tuple, by_id: Dict[int, str],
 
 
 def _build_call(call: Dict[str, Any], roots: Dict[str, Any],
-                job_by_id: Dict[str, Job], machine) -> Tuple[Callable, Tuple]:
+                job_index: Dict[str, Job], machine) -> Tuple[Callable, Tuple]:
     try:
         owner = roots[call["root"]]
     except KeyError:
@@ -142,7 +142,7 @@ def _build_call(call: Dict[str, Any], roots: Dict[str, Any],
             f"(checkpoint from an incompatible build?)"
         )
     args = tuple(
-        _resolve_arg(a, owner, roots, job_by_id, machine) for a in call["args"]
+        _resolve_arg(a, owner, roots, job_index, machine) for a in call["args"]
     )
     return method, args
 
@@ -180,10 +180,10 @@ def describe_event(event: Event, by_id: Dict[int, str]) -> Dict[str, Any]:
 
 
 def build_event(desc: Dict[str, Any], engine: Simulator, roots: Dict[str, Any],
-                job_by_id: Dict[str, Job], machine) -> Tuple[str, EventHandle]:
+                job_index: Dict[str, Job], machine) -> Tuple[str, EventHandle]:
     """Re-plant one described event; returns ``(name, handle)`` so the
     restore pass can rewire stored handles (job end/timeout, meter)."""
-    action, args = _build_call(desc["call"], roots, job_by_id, machine)
+    action, args = _build_call(desc["call"], roots, job_index, machine)
     if desc["kind"] == "periodic":
         handle = engine.restore_periodic(
             desc["interval"], action, args,

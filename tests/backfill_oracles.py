@@ -18,6 +18,11 @@ implementations the runtime code must match decision for decision:
   (bisect + monotone-deque sliding-window minimum), the oracle for
   :func:`repro.core.backfill.release_curve` and for the earliest-fit
   scan;
+* :class:`NodePool` and :func:`reference_select` — the seed's object
+  node pool and the ``sorted``-over-node-lists bodies of the
+  first-fit, low-power and topology-aware allocators, the oracles for
+  every row ``Allocator.select`` (the seed schedulers allocate
+  through them);
 * :func:`earliest_fit_index_py` and :func:`plan_conservative_py` —
   plain-python twins of the numpy kernels in
   :mod:`repro.power.kernels`.
@@ -33,33 +38,165 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.fairshare import PredictiveEasyScheduler
-from repro.core.scheduler import (
-    NodePool,
-    Scheduler,
-    SchedulingContext,
-    StartDecision,
+from repro.cluster.machine import Machine
+from repro.cluster.node import Node
+from repro.core.allocator import (
+    Allocator,
+    FirstFitAllocator,
+    LowPowerAllocator,
+    TopologyAwareAllocator,
+    check_pool,
 )
+from repro.core.fairshare import PredictiveEasyScheduler
+from repro.core.scheduler import Scheduler, SchedulingContext, StartDecision
 from repro.errors import SchedulingError
 from repro.workload.job import Job
 
 __all__ = [
+    "NodePool",
     "ReferenceConservativeBackfillScheduler",
     "ReferenceEasyBackfillScheduler",
     "ReferenceFreeNodeProfile",
     "ReferencePredictiveEasyScheduler",
+    "available_nodes",
     "earliest_fit_index_py",
     "plan_conservative_py",
+    "reference_select",
 ]
 
 
 def _admit(ctx: SchedulingContext) -> Callable[[Job], bool]:
     """The context's admission predicate; ``None`` admits every job."""
     return ctx.admit if ctx.admit is not None else (lambda job: True)
+
+
+# ----------------------------------------------------------------------
+# Seed node pool and allocator bodies
+# ----------------------------------------------------------------------
+_node_id = attrgetter("node_id")
+
+
+class NodePool:
+    """Insertion-ordered pool of free nodes with O(k) removal (a dict
+    keyed by ``node_id``)."""
+
+    __slots__ = ("_nodes",)
+
+    def __init__(self, nodes: Iterable[Node]) -> None:
+        nodes = list(nodes)
+        self._nodes = dict(zip(map(_node_id, nodes), nodes))
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def __iter__(self) -> Iterator[Node]:
+        return iter(self._nodes.values())
+
+    def remove_ids(self, node_ids: Iterable[int]) -> None:
+        """Drop the granted nodes from the pool."""
+        nodes = self._nodes
+        for node_id in node_ids:
+            del nodes[node_id]
+
+
+def available_nodes(ctx: SchedulingContext) -> List[Node]:
+    """The context's usable nodes as objects, in id order (the seed's
+    ``ctx.available`` list)."""
+    nodes = ctx.machine.nodes
+    return [nodes[row] for row in np.flatnonzero(ctx.selection.avail_mask)]
+
+
+def _first_fit(available: Sequence[Node], count: int) -> List[Node]:
+    return sorted(available, key=attrgetter("node_id"))[:count]
+
+
+def _low_power(available: Sequence[Node], count: int) -> List[Node]:
+    return sorted(
+        available, key=attrgetter("effective_max_power", "node_id")
+    )[:count]
+
+
+def _topology(
+    allocator: TopologyAwareAllocator,
+    machine: Machine,
+    available: Sequence[Node],
+    count: int,
+) -> List[Node]:
+    topo = machine.topology
+    ordered = sorted(available, key=attrgetter("node_id"))
+    if topo is None or count == 1:
+        return ordered[:count]
+
+    # Contiguous-id window: in all three topology builders node ids
+    # are laid out with locality, so a contiguous window is compact.
+    best_window: Optional[List[Node]] = None
+    best_cost = float("inf")
+    ids = [n.node_id for n in ordered]
+    for start in range(0, len(ordered) - count + 1):
+        window_ids = ids[start : start + count]
+        # Perfectly contiguous windows are likely compact; score them.
+        if window_ids[-1] - window_ids[0] == count - 1:
+            cost = topo.placement_cost(window_ids)
+            if cost < best_cost:
+                best_cost = cost
+                best_window = ordered[start : start + count]
+    if best_window is not None:
+        return best_window
+
+    # Greedy expansion from a few seeds.
+    best_sel: Optional[List[Node]] = None
+    for seed_idx in allocator._seed_indices(len(ordered)):
+        seed = ordered[seed_idx]
+        chosen = [seed]
+        rest = [n for n in ordered if n is not seed]
+        while len(chosen) < count:
+            nearest = min(
+                rest,
+                key=lambda n: (
+                    min(topo.distance(n.node_id, c.node_id) for c in chosen),
+                    n.node_id,
+                ),
+            )
+            chosen.append(nearest)
+            rest.remove(nearest)
+        cost = topo.placement_cost([n.node_id for n in chosen])
+        if best_sel is None or cost < best_cost:
+            best_sel, best_cost = chosen, cost
+    assert best_sel is not None
+    return best_sel
+
+
+def reference_select(
+    allocator: Allocator,
+    machine: Machine,
+    available: Sequence[Node],
+    count: int,
+) -> List[Node]:
+    """The seed's object ``select`` for *allocator*'s strategy: exactly
+    *count* nodes of *available*, in grant order.  Topology-aware
+    selection reads the allocator's per-pass seed draws."""
+    check_pool(len(available), count)
+    if isinstance(allocator, FirstFitAllocator):
+        return _first_fit(available, count)
+    if isinstance(allocator, LowPowerAllocator):
+        return _low_power(available, count)
+    if isinstance(allocator, TopologyAwareAllocator):
+        return _topology(allocator, machine, available, count)
+    raise TypeError(f"no reference selection for {type(allocator).__name__}")
+
+
+def _allocate(
+    scheduler: Scheduler, ctx: SchedulingContext, job: Job, pool: Iterable[Node]
+) -> Tuple[Node, ...]:
+    """The seed ``Scheduler._allocate``: *job*'s nodes out of *pool*."""
+    return tuple(
+        reference_select(scheduler.allocator, ctx.machine, list(pool), job.nodes)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -102,7 +239,7 @@ class ReferenceEasyBackfillScheduler(Scheduler):
 
     def schedule(self, ctx: SchedulingContext) -> List[StartDecision]:
         decisions: List[StartDecision] = []
-        pool = list(ctx.available)
+        pool = available_nodes(ctx)
         pending = list(ctx.pending)
         admit = _admit(ctx)
 
@@ -110,7 +247,7 @@ class ReferenceEasyBackfillScheduler(Scheduler):
         blocked_idx = None
         for i, job in enumerate(pending):
             if job.nodes <= len(pool) and admit(job):
-                nodes = self._allocate(ctx, job, pool)
+                nodes = _allocate(self, ctx, job, pool)
                 ids = {n.node_id for n in nodes}
                 pool = [n for n in pool if n.node_id not in ids]
                 decisions.append(StartDecision(job, nodes))
@@ -163,7 +300,7 @@ class ReferenceEasyBackfillScheduler(Scheduler):
             ends_before_shadow = ctx.now + job.walltime_request <= shadow
             fits_spare = job.nodes <= spare
             if ends_before_shadow or fits_spare:
-                nodes = self._allocate(ctx, job, pool)
+                nodes = _allocate(self, ctx, job, pool)
                 ids = {n.node_id for n in nodes}
                 pool = [n for n in pool if n.node_id not in ids]
                 if not ends_before_shadow:
@@ -183,7 +320,7 @@ class ReferenceConservativeBackfillScheduler(Scheduler):
 
     def schedule(self, ctx: SchedulingContext) -> List[StartDecision]:
         decisions: List[StartDecision] = []
-        pool = list(ctx.available)
+        pool = available_nodes(ctx)
         admit = _admit(ctx)
         resv: List[Tuple[float, float, int]] = []
 
@@ -243,7 +380,7 @@ class ReferenceConservativeBackfillScheduler(Scheduler):
                     continue
 
             if start <= ctx.now and admitted and job.nodes <= len(pool):
-                nodes = self._allocate(ctx, job, pool)
+                nodes = _allocate(self, ctx, job, pool)
                 ids = {n.node_id for n in nodes}
                 pool = [n for n in pool if n.node_id not in ids]
                 free_now -= job.nodes
@@ -271,14 +408,14 @@ class ReferencePredictiveEasyScheduler(PredictiveEasyScheduler):
 
     def schedule(self, ctx: SchedulingContext) -> List[StartDecision]:
         decisions: List[StartDecision] = []
-        pool = NodePool(ctx.available)
+        pool = NodePool(available_nodes(ctx))
         pending = list(ctx.pending)
         admit = _admit(ctx)
 
         blocked_idx = None
         for i, job in enumerate(pending):
             if job.nodes <= len(pool) and admit(job):
-                nodes = self._allocate(ctx, job, pool)
+                nodes = _allocate(self, ctx, job, pool)
                 pool.remove_ids(n.node_id for n in nodes)
                 decisions.append(StartDecision(job, nodes))
             else:
@@ -314,7 +451,7 @@ class ReferencePredictiveEasyScheduler(PredictiveEasyScheduler):
             ends_before_shadow = ctx.now + self._estimate(job) <= shadow
             fits_spare = job.nodes <= spare
             if ends_before_shadow or fits_spare:
-                nodes = self._allocate(ctx, job, pool)
+                nodes = _allocate(self, ctx, job, pool)
                 pool.remove_ids(n.node_id for n in nodes)
                 if not ends_before_shadow:
                     spare -= job.nodes

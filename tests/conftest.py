@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cluster import Machine, MachineSpec
+from repro.core.scheduler import NodeSelection
 from repro.power import NodePowerModel
 from repro.simulator import RngStreams, Simulator, TraceRecorder
 from repro.units import HOUR
@@ -39,6 +41,25 @@ def small_machine() -> Machine:
 def power_model() -> NodePowerModel:
     """Default quadratic power model."""
     return NodePowerModel()
+
+
+def make_selection(machine: Machine, avail_ids=None) -> NodeSelection:
+    """A :class:`NodeSelection` read straight off *machine*'s nodes:
+    the available mask marks *avail_ids* (default: the idle nodes),
+    and the power columns copy each node's ``max_power`` and
+    ``variability``.  Every test :class:`SchedulingContext` is built
+    on one of these."""
+    nodes = machine.nodes
+    mask = np.zeros(len(nodes), dtype=bool)
+    if avail_ids is None:
+        avail_ids = [node.node_id for node in nodes if node.is_available]
+    mask[list(avail_ids)] = True
+    return NodeSelection(
+        avail_mask=mask,
+        machine=machine,
+        max_power=np.array([node.max_power for node in nodes]),
+        variability=np.array([node.variability for node in nodes]),
+    )
 
 
 def make_job(

@@ -42,6 +42,7 @@ from tests.backfill_oracles import (
     ReferencePredictiveEasyScheduler,
     plan_conservative_py,
 )
+from tests.conftest import make_selection
 
 _NODES = 256
 
@@ -110,12 +111,11 @@ def _build_workload(seed: int, depth: int, busy_fraction: float):
 
 
 def _ctx(machine, queue, running, now=0.0, arrays=True, admit=None):
-    available = [n for n in machine.nodes if n.is_available]
     return SchedulingContext(
         now=now,
         machine=machine,
         pending=queue.pending(),
-        available=available,
+        selection=make_selection(machine),
         running=list(running),
         admit=admit,
         usable_node_count=len(machine.nodes),

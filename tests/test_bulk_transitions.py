@@ -142,7 +142,7 @@ class TestTransitionRows:
                 node.idle_since = time if target is NodeState.IDLE else None
                 node.running_job = "j" if busy else None
             bulk.transition_rows(
-                bulk.rows_for(ids), STATE_CODES[target], time
+                np.asarray(ids, dtype=np.intp), STATE_CODES[target], time
             )
 
             for nid in ids:

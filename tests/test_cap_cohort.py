@@ -56,7 +56,7 @@ def reference_on_speed_changed(sim, node_ids):
     *node_ids*, one kernel per execution."""
     mirror = sim.power_vector
     order = []
-    for slot in mirror.exec_slot[mirror.rows_for(node_ids)].tolist():
+    for slot in mirror.exec_slot[node_ids].tolist():
         if slot >= 0 and slot not in order:
             order.append(slot)
     for slot in order:

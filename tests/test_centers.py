@@ -172,3 +172,27 @@ class TestResearchLines:
                    if p.name == "cooling-aware"]
         assert cooling
         assert result.metrics.jobs_completed > 0
+
+
+class TestLayoutFilterPin:
+    """CEA's layout logic is the stock node filter: every CEA pass
+    withholds the nodes behind the chiller that goes into maintenance.
+    A seed-1 run to 4 h is pinned to the number of available nodes the
+    filter withheld, summed over passes, and to the literal result
+    fingerprint."""
+
+    def test_cea_seed1_4h_pinned(self):
+        from repro.centers import cea
+        from repro.policies.layout_aware import LayoutAwarePolicy
+        from repro.state.fingerprint import result_fingerprint
+
+        build = cea.build_simulation(seed=1)
+        result = build.simulation.run(until=4 * HOUR)
+        (layout,) = [
+            p for p in build.simulation.policies
+            if isinstance(p, LayoutAwarePolicy)
+        ]
+        assert layout.withheld_node_passes == 2486
+        assert result_fingerprint(result) == (
+            "749a44191c09b23cf10218a0f2583bb54ecea4fa2ad4f276533e2d1b6fc3480a"
+        )

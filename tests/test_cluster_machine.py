@@ -70,6 +70,21 @@ class TestMachine:
         with pytest.raises(ClusterError):
             Machine(spec, nodes=[Node(0), Node(0)])
 
+    def test_node_ids_out_of_order_raise(self):
+        spec = MachineSpec(name="m", nodes=2)
+        with pytest.raises(ClusterError):
+            Machine(spec, nodes=[Node(1), Node(0)])
+
+    def test_node_ids_with_a_gap_raise(self):
+        spec = MachineSpec(name="m", nodes=2)
+        with pytest.raises(ClusterError):
+            Machine(spec, nodes=[Node(0), Node(2)])
+
+    @pytest.mark.parametrize("node_id", [16, -1])
+    def test_node_lookup_out_of_range_raises(self, small_machine, node_id):
+        with pytest.raises(ClusterError):
+            small_machine.node(node_id)
+
 
 class TestCabinet:
     def test_power_sums(self):

@@ -33,7 +33,7 @@ from tests.backfill_oracles import (
     ReferenceConservativeBackfillScheduler,
     ReferenceEasyBackfillScheduler,
 )
-from tests.conftest import make_job
+from tests.conftest import make_job, make_selection
 
 
 # ----------------------------------------------------------------------
@@ -103,12 +103,11 @@ class TestEasyMergedProfileShadow:
         return Machine(MachineSpec(name="tiny", nodes=16, nodes_per_cabinet=4))
 
     def _ctx(self, machine, pending, running):
-        available = [n for n in machine.nodes if n.is_available]
         return SchedulingContext(
             now=0.0,
             machine=machine,
             pending=pending,
-            available=available,
+            selection=make_selection(machine),
             running=running,
             admit=lambda job: True,
             usable_node_count=len(machine.nodes),
@@ -204,7 +203,7 @@ def _random_context(rng: random.Random, machine: Machine, veto_log: list):
         running.append(RunningJobInfo(job, ids, end))
 
     busy = set(busy_ids)
-    available = [n for n in machine.nodes if n.node_id not in busy]
+    avail_ids = [i for i in range(n_nodes) if i not in busy]
 
     pending = []
     for j in range(rng.randint(1, 20)):
@@ -223,13 +222,13 @@ def _random_context(rng: random.Random, machine: Machine, veto_log: list):
         return job.job_id not in vetoed
 
     usable = rng.choice(
-        [n_nodes, n_nodes, n_nodes + 4, max(len(available) - 2, 1)]
+        [n_nodes, n_nodes, n_nodes + 4, max(len(avail_ids) - 2, 1)]
     )
     return SchedulingContext(
         now=now,
         machine=machine,
         pending=pending,
-        available=available,
+        selection=make_selection(machine, avail_ids),
         running=running,
         admit=admit,
         usable_node_count=usable,

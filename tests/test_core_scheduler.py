@@ -12,17 +12,16 @@ from repro.core import (
     SchedulingContext,
 )
 from repro.core.scheduler import RunningJobInfo
-from tests.conftest import make_job
+from tests.conftest import make_job, make_selection
 
 
 def ctx(machine, pending, running=(), admit=None, now=0.0):
     """Build a SchedulingContext from terse inputs."""
-    available = [n for n in machine.nodes if n.is_available]
     return SchedulingContext(
         now=now,
         machine=machine,
         pending=list(pending),
-        available=available,
+        selection=make_selection(machine),
         running=list(running),
         admit=admit or (lambda job: True),
         usable_node_count=len(machine.nodes),
@@ -231,7 +230,7 @@ def test_begin_pass_once_per_schedule(small_machine, scheduler_cls, vetoing):
                 now=now,
                 machine=small_machine,
                 pending=list(jobs),
-                available=[n for n in small_machine.nodes if n.is_available],
+                selection=make_selection(small_machine),
                 running=running,
                 admit=admit,
                 usable_node_count=len(small_machine.nodes),

@@ -3,11 +3,19 @@
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
 from repro.centers import build_center_simulation
 from repro.cluster import Machine, MachineSpec, NodeState
-from repro.core import ClusterSimulation, EasyBackfillScheduler, FcfsScheduler
+from repro.core import (
+    ClusterSimulation,
+    EasyBackfillScheduler,
+    FcfsScheduler,
+    Scheduler,
+    StartDecision,
+)
+from repro.errors import SchedulingError
 from repro.policies.base import Policy
 from repro.units import HOUR
 from repro.workload import JobState
@@ -166,6 +174,11 @@ class TestKill:
         assert sim.kill_job("nope", "reason") is False
 
 
+def available_ids(ctx):
+    """Node ids the context offers the scheduler, ascending."""
+    return np.flatnonzero(ctx.selection.avail_mask).tolist()
+
+
 class TestSchedulingContext:
     def test_expected_end_honours_zero_start_time(self, small_machine):
         # A job that started at exactly t=0.0 must report
@@ -182,22 +195,18 @@ class TestSchedulingContext:
     def test_available_tracks_state_transitions(self, small_machine):
         sim = ClusterSimulation(small_machine, FcfsScheduler(), [])
         nodes = small_machine.nodes
-        assert [n.node_id for n in sim.build_context().available] == list(
-            range(16)
-        )
+        assert available_ids(sim.build_context()) == list(range(16))
         sim.rm.shutdown_nodes(nodes[4:8])
         ctx = sim.build_context()
-        assert [n.node_id for n in ctx.available] == (
-            list(range(4)) + list(range(8, 16))
-        )
+        assert available_ids(ctx) == list(range(4)) + list(range(8, 16))
         assert ctx.usable_node_count == 16  # shutting down, not failed
         sim.rm.drain_node(nodes[0])
         ctx = sim.build_context()
-        assert nodes[0] not in ctx.available
+        assert 0 not in available_ids(ctx)
         assert ctx.usable_node_count == 15
         sim.rm.undrain_node(nodes[0])
         ctx = sim.build_context()
-        assert nodes[0] in ctx.available
+        assert 0 in available_ids(ctx)
         assert ctx.usable_node_count == 16
 
     def test_boot_cycle_restores_availability(self, small_machine):
@@ -206,13 +215,13 @@ class TestSchedulingContext:
         sim.rm.shutdown_nodes(nodes[:2])
         sim.sim.run(until=1_000.0)  # complete the shutdown
         assert nodes[0].state is NodeState.OFF
-        assert len(sim.build_context().available) == 14
+        assert len(available_ids(sim.build_context())) == 14
         sim.rm.boot_nodes(nodes[:2])
-        assert len(sim.build_context().available) == 14  # still booting
+        assert len(available_ids(sim.build_context())) == 14  # still booting
         sim.sim.run(until=2_000.0)
         assert nodes[0].state is NodeState.IDLE
         ctx = sim.build_context()
-        assert [n.node_id for n in ctx.available] == list(range(16))
+        assert available_ids(ctx) == list(range(16))
         assert ctx.usable_node_count == 16
 
     def test_busy_nodes_leave_available_set(self, small_machine):
@@ -220,8 +229,67 @@ class TestSchedulingContext:
         sim = ClusterSimulation(small_machine, FcfsScheduler(), [job])
         sim.run(until=100.0)
         ctx = sim.build_context()
-        assert len(ctx.available) == 10
-        assert all(n.state is NodeState.IDLE for n in ctx.available)
+        assert len(available_ids(ctx)) == ctx.free_count() == 10
+        assert all(
+            small_machine.nodes[i].state is NodeState.IDLE
+            for i in available_ids(ctx)
+        )
+
+
+class _FixedPicks(Scheduler):
+    """Stub scheduler: starts the i-th pending job on the nodes with
+    the ids in ``picks[i]``, unchecked."""
+
+    name = "fixed-picks"
+
+    def __init__(self, picks):
+        super().__init__()
+        self.picks = picks
+
+    def schedule(self, ctx):
+        nodes = ctx.machine.nodes
+        return [
+            StartDecision(job, tuple(nodes[i] for i in ids))
+            for job, ids in zip(ctx.pending, self.picks)
+        ]
+
+
+class TestApplyGuard:
+    """The apply-time guard: one read of the live availability mask per
+    decision rejects a node that is not idle, including one an earlier
+    decision of the same pass took."""
+
+    def _run(self, machine, picks, setup=None):
+        jobs = [
+            make_job(job_id=f"j{i}", nodes=len(ids), work=100.0)
+            for i, ids in enumerate(picks)
+        ]
+        sim = ClusterSimulation(machine, _FixedPicks(picks), jobs)
+        if setup is not None:
+            setup(sim)
+        sim.run(until=10.0)
+
+    def test_two_one_node_decisions_on_one_node(self, small_machine):
+        with pytest.raises(SchedulingError, match="unavailable node 3 for j1"):
+            self._run(small_machine, [(3,), (3,)])
+
+    def test_multi_node_decision_overlapping_an_earlier_one(self, small_machine):
+        with pytest.raises(SchedulingError, match="unavailable node 5 for j1"):
+            self._run(small_machine, [(4, 5), (6, 5, 7)])
+
+    @pytest.mark.parametrize("picks", [[(2,)], [(1, 2, 3)]])
+    def test_node_that_is_not_idle(self, small_machine, picks):
+        def shut_down_node_2(sim):
+            sim.rm.shutdown_nodes([small_machine.nodes[2]])
+
+        with pytest.raises(SchedulingError, match="unavailable node 2 for j0"):
+            self._run(small_machine, picks, setup=shut_down_node_2)
+
+    def test_disjoint_decisions_start(self, small_machine):
+        self._run(small_machine, [(0,), (1, 2), (3,)])
+        assert [n.state for n in small_machine.nodes[:5]] == (
+            [NodeState.BUSY] * 4 + [NodeState.IDLE]
+        )
 
 
 class TestPolicyHooks:
@@ -232,9 +300,9 @@ class TestPolicyHooks:
             name = "recorder"
             control_interval = 50.0
 
-            def filter_nodes(self, nodes, now):
+            def filter_rows(self, mask, now):
                 calls.append("filter")
-                return nodes
+                return mask
 
             def admit(self, job, now):
                 calls.append("admit")
@@ -264,8 +332,9 @@ class TestPolicyHooks:
         class OnlyHighIds(Policy):
             name = "high-only"
 
-            def filter_nodes(self, nodes, now):
-                return [n for n in nodes if n.node_id >= 8]
+            def filter_rows(self, mask, now):
+                mask[:8] = False
+                return mask
 
         job = make_job(nodes=4, work=10.0)
         run_sim(small_machine, [job], policies=[OnlyHighIds()])

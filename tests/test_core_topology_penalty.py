@@ -42,10 +42,10 @@ class TestPlacementPenalty:
         class ScatterAllocator(TopologyAwareAllocator):
             """Worst-case: pick nodes one per switch."""
 
-            def select(self, machine, available, count):
-                ordered = sorted(available, key=lambda n: n.node_id)
-                return ordered[::8][:count] if len(ordered[::8]) >= count \
-                    else ordered[:count]
+            def select(self, pool, count):
+                rows = pool.rows
+                return rows[::8][:count] if len(rows[::8]) >= count \
+                    else rows[:count]
 
         job = make_job(nodes=4, work=100.0, walltime=500.0,
                        profile=COMM_BOUND)
@@ -61,9 +61,8 @@ class TestPlacementPenalty:
         machine = topo_machine()
 
         class ScatterAllocator(TopologyAwareAllocator):
-            def select(self, machine, available, count):
-                ordered = sorted(available, key=lambda n: n.node_id)
-                return ordered[::8][:count]
+            def select(self, pool, count):
+                return pool.rows[::8][:count]
 
         job = make_job(nodes=4, work=100.0, walltime=500.0,
                        profile=COMPUTE_BOUND)
@@ -103,11 +102,11 @@ class TestPlacementPenalty:
             return sim.run().metrics
 
         class ScatterAllocator(TopologyAwareAllocator):
-            def select(self, machine, available, count):
-                ordered = sorted(available, key=lambda n: n.node_id)
-                step = max(1, len(ordered) // count)
-                picked = ordered[::step][:count]
-                return picked if len(picked) == count else ordered[:count]
+            def select(self, pool, count):
+                rows = pool.rows
+                step = max(1, len(rows) // count)
+                picked = rows[::step][:count]
+                return picked if len(picked) == count else rows[:count]
 
         aware = run(TopologyAwareAllocator())
         scattered = run(ScatterAllocator())

@@ -1,5 +1,6 @@
 """Tests for static capping, group caps and overprovisioning policies."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import Machine, MachineSpec
@@ -156,8 +157,8 @@ class TestOverprovisioning:
         machine = machine16()
         policy = OverprovisioningPolicy(budget_watts=6 * 400.0, sensitivity=1.0)
         ClusterSimulation(machine, FcfsScheduler(), [], policies=[policy])
-        pool = policy.filter_nodes(list(machine.nodes), 0.0)
-        assert len(pool) == policy.active_count
+        mask = policy.filter_rows(np.ones(len(machine.nodes), dtype=bool), 0.0)
+        assert np.flatnonzero(mask).tolist() == list(range(policy.active_count))
 
     def test_throughput_beats_naive_under_budget(self):
         # Same budget, workload of parallel single-node jobs:

@@ -341,7 +341,6 @@ class TestLifecycleArrays:
                 assert node.node_id in execution.node_ids
             else:
                 assert mirror.exec_slot[row] == -1
-            assert mirror.node_id[row] == node.node_id
 
     def test_idle_candidate_rows_match_scalar_selection(self):
         csim, machine = self._sim()

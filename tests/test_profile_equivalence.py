@@ -156,7 +156,7 @@ def _assert_exec_arrays_consistent(csim):
         slot = execution.slot
         assert slot >= 0
         assert csim._exec_slots[slot] is execution
-        rows = mirror.rows_for(execution.node_ids)
+        rows = np.asarray(execution.node_ids, dtype=np.intp)
         assert (mirror.exec_slot[rows] == slot).all()
         assert (mirror.exec_slot[rows] >= 0).all()
         bound_rows.update(rows.tolist())
