@@ -6,9 +6,10 @@ epochs) twice and requires identical ``FederationResult.fingerprint``s:
 * resident at ``workers=2`` — each site stays live in its pinned
   worker, so no epoch restores a site from its snapshot bytes;
 * ``workers=3`` with a miss forced every epoch — each worker drops its
-  live sites before every advance, so every epoch after the first
-  restores every site from the bytes, as a site moved to another
-  worker would.
+  live sites and its state-record memo before every advance, so every
+  epoch after the first restores every site from the bytes, as a site
+  moved to another worker would, and encodes every site-epoch cold
+  (the resident run encodes warm, from the memo).
 
 The restore counts are checked too, so the two runs really take the
 two paths.  Run from the repo root with ``PYTHONPATH=src``.
@@ -24,6 +25,7 @@ import repro.federation.site as site
 from repro.analysis.executor import FanoutPool
 from repro.centers import center_slugs
 from repro.federation import FederationCampaign, SiteConfig
+from repro.state.serialize import clear_record_memo
 from repro.units import HOUR
 
 HORIZON = 3 * HOUR
@@ -41,9 +43,10 @@ def _counting_restore(state, factory):
 
 def _counted(fn, cold, task):
     """*fn*(task) plus the number of restores it made in this process;
-    *cold* drops this process's live sites first."""
+    *cold* drops this process's live sites and record memo first."""
     if cold:
         site.release_live_sites()
+        clear_record_memo()
     before = _restores[0]
     return fn(task), _restores[0] - before
 

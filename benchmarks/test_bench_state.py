@@ -1,12 +1,12 @@
 """Experiment ``exp-state``: checkpoint subsystem cost at scale.
 
 What a checkpointed campaign pays: the wall cost of one
-``snapshot()``, one ``to_bytes()`` serialization, one ``restore()``,
-and the on-disk checkpoint size — as a function of machine size, on a
-mid-run simulation with live executions, queue backlog and warm power
-caches.  The correctness side (bit-identical resume) is asserted here
-on the benchmarked machine itself; the randomized sweeps live in
-``tests/test_property_state.py``.
+``snapshot()``, one ``to_bytes()`` serialization (cold, and warm from
+the record memo), one ``restore()``, and the on-disk checkpoint size
+— as a function of machine size, on a mid-run simulation with live
+executions, queue backlog and warm power caches.  The correctness side
+(bit-identical resume) is asserted here on the benchmarked machine
+itself; the randomized sweeps live in ``tests/test_property_state.py``.
 
 Timings land in ``benchmarks/out/BENCH_state.json`` (machine-readable,
 uploaded by the CI benchmarks job) plus the usual rendered artifact.
@@ -27,16 +27,20 @@ from repro.state import (
     state_fingerprint,
     to_bytes,
 )
+from repro.state.serialize import clear_record_memo
 from repro.workload import Job
 
 from .conftest import OUT_DIR, bench_machine, write_artifact
 
 
-def _best_of(fn, rounds: int = 3) -> float:
-    """Best-of-N wall time of one call (first call warms caches)."""
+def _best_of(fn, rounds: int = 3, setup=None) -> float:
+    """Best-of-N wall time of one call (first call warms caches);
+    *setup* runs untimed before each timed call."""
     fn()
     best = float("inf")
     for _ in range(rounds):
+        if setup is not None:
+            setup()
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
@@ -87,9 +91,13 @@ def test_bench_state_snapshot_cost(artifact_dir):
         st = snapshot(sim)
         blob = to_bytes(st)
         t_snapshot = _best_of(lambda: snapshot(sim))
-        t_serialize = _best_of(lambda: to_bytes(st))
+        # Cold: the record memo is dropped before each timed encode,
+        # so this is the cost of rendering every record.  Warm: the
+        # same state again, every unchanged record a memo hit.
+        t_serialize = _best_of(lambda: to_bytes(st), setup=clear_record_memo)
+        t_warm = _best_of(lambda: to_bytes(st))
         t_restore = _best_of(lambda: restore(st, factory))
-        rows[nodes] = (t_snapshot, t_serialize, t_restore, len(blob))
+        rows[nodes] = (t_snapshot, t_serialize, t_warm, t_restore, len(blob))
 
         # Correctness on the benchmarked machine: restore is a fixed
         # point here too.
@@ -100,10 +108,10 @@ def test_bench_state_snapshot_cost(artifact_dir):
         "EXP-STATE — checkpoint subsystem cost\n"
         "(mid-run FCFS simulation, 48 jobs; one snapshot of live state)\n"
     ]
-    for nodes, (ts, tz, tr, size) in rows.items():
+    for nodes, (ts, tz, tw, tr, size) in rows.items():
         lines.append(
             f"{nodes:5d} nodes: snapshot {ts * 1e3:7.2f} ms"
-            f"   serialize {tz * 1e3:7.2f} ms"
+            f"   serialize {tz * 1e3:7.2f} ms (warm {tw * 1e3:6.2f})"
             f"   restore {tr * 1e3:7.2f} ms"
             f"   checkpoint {size / 1024.0:8.1f} KiB"
         )
@@ -114,16 +122,17 @@ def test_bench_state_snapshot_cost(artifact_dir):
             str(nodes): {
                 "snapshot_seconds": ts,
                 "serialize_seconds": tz,
+                "serialize_warm_seconds": tw,
                 "restore_seconds": tr,
                 "checkpoint_bytes": size,
             }
-            for nodes, (ts, tz, tr, size) in rows.items()
+            for nodes, (ts, tz, tw, tr, size) in rows.items()
         },
     )
 
     # Shape claims: a checkpoint of a 4k-node sim stays comfortably
     # under 32 MiB and under a second to take.
-    ts, tz, _, size = rows[4096]
+    ts, tz, _, _, size = rows[4096]
     assert size < 32 * 1024 * 1024, f"checkpoint ballooned to {size} bytes"
     assert ts + tz < 1.0, f"snapshot+serialize took {ts + tz:.2f}s at 4k nodes"
 

@@ -144,11 +144,17 @@ class Machine:
           fires in cohort order, exactly like the scalar loop.
 
         *node_ids* must not contain duplicates (each node may make the
-        transition once).  Returns the transitioned nodes in cohort
-        order.  Callers that already hold the node objects may pass
-        them as *nodes* (same order as *node_ids*) to skip the id
-        lookup.
+        transition once); a cohort that does is refused with
+        :class:`ClusterError` before any node moves.  Returns the
+        transitioned nodes in cohort order.  Callers that already hold
+        the node objects may pass them as *nodes* (same order as
+        *node_ids*) to skip the id lookup.
         """
+        if len(set(node_ids)) != len(node_ids):
+            twice = next(i for i in node_ids if node_ids.count(i) > 1)
+            raise ClusterError(
+                f"transition to {target.value} lists node {twice} twice"
+            )
         if nodes is None:
             nodes = [self.node(nid) for nid in node_ids]
         # Validate with an identity-deduped legality check: cohorts are

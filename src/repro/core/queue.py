@@ -11,6 +11,7 @@ scheduler.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -70,12 +71,18 @@ class JobQueue:
                 raise QueueError(f"duplicate queue name {cfg.name!r}")
             self._configs[cfg.name] = cfg
         self._jobs: Dict[str, Job] = {}
-        #: Memoized scheduling order, invalidated whenever the
-        #: membership changes (submit/remove) *or* a queued job is
+        #: Memoized scheduling order and its sort keys, kept sorted by
+        #: bisect on submit/remove (the key ends in the unique job id,
+        #: so the order is total) and dropped whenever a queued job is
         #: mutated in place (moldable reshaping goes through
         #: :meth:`notify_job_changed` — sort keys are not immutable
-        #: while queued, despite what earlier revisions assumed).
+        #: while queued, despite what earlier revisions assumed) or the
+        #: queue is replaced wholesale.
         self._order: Optional[List[Job]] = None
+        self._keys: List[Tuple] = []
+        #: True while the table holds the current order (every table
+        #: mutation drops its order rows).
+        self._table_ordered = False
         #: SoA mirror of the queued jobs, kept in sync through the
         #: mutation hooks below (see ``repro.core.jobtable``).
         self._table = JobTable()
@@ -117,7 +124,12 @@ class JobQueue:
             )
         self._jobs[job.job_id] = job
         self._table.add(job, cfg.priority)
-        self._order = None
+        self._table_ordered = False
+        if self._order is not None:
+            key = self._sort_key(job)
+            at = bisect_left(self._keys, key)
+            self._keys.insert(at, key)
+            self._order.insert(at, job)
 
     def remove(self, job_id: str) -> Job:
         """Remove and return a queued job (started or cancelled)."""
@@ -126,7 +138,15 @@ class JobQueue:
         except KeyError:
             raise QueueError(f"job {job_id} not in queue") from None
         self._table.discard(job_id)
-        self._order = None
+        self._table_ordered = False
+        if self._order is not None:
+            at = bisect_left(self._keys, self._sort_key(job))
+            if at < len(self._order) and self._order[at] is job:
+                del self._keys[at]
+                del self._order[at]
+            else:
+                # Its key moved while queued without a notify: re-sort.
+                self._order = None
         return job
 
     def notify_job_changed(self, job_id: str) -> None:
@@ -161,16 +181,23 @@ class JobQueue:
             cfg = self._configs.get(job.queue) or self._configs.get("default")
             self._table.add(job, cfg.priority if cfg else 0)
 
+    def _sort_key(self, job: Job) -> Tuple:
+        cfg = self._configs.get(job.queue) or self._configs.get("default")
+        qprio = cfg.priority if cfg else 0
+        return (-qprio, -job.priority, job.submit_time, job.job_id)
+
     def _ensure_order(self) -> List[Job]:
         if self._order is None:
-
-            def sort_key(job: Job):
-                cfg = self._configs.get(job.queue) or self._configs.get("default")
-                qprio = cfg.priority if cfg else 0
-                return (-qprio, -job.priority, job.submit_time, job.job_id)
-
-            self._order = sorted(self._jobs.values(), key=sort_key)
+            keyed = sorted(
+                ((self._sort_key(job), job) for job in self._jobs.values()),
+                key=lambda pair: pair[0],
+            )
+            self._keys = [key for key, _ in keyed]
+            self._order = [job for _, job in keyed]
+            self._table_ordered = False
+        if not self._table_ordered:
             self._table.set_order(self._order)
+            self._table_ordered = True
         return self._order
 
     def pending(self) -> List[Job]:
@@ -178,8 +205,8 @@ class JobQueue:
 
         Every policy tick and schedule pass reads this; re-sorting a
         deep backlog each time is O(Q log Q) per call, so the order is
-        cached until the queue membership changes.  Returns a fresh
-        list — callers may slice or mutate it freely.
+        cached, and a submit or remove moves one job in it by bisect.
+        Returns a fresh list — callers may slice or mutate it freely.
         """
         return list(self._ensure_order())
 

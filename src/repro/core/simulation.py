@@ -866,17 +866,20 @@ class ClusterSimulation:
             # cohort: every start clears its nodes' rows (through the
             # node or cohort listener), so a node that is not idle, or
             # that an earlier decision of this pass already took, fails
-            # here.
-            rows = np.fromiter(
-                (n.node_id for n in decision.nodes),
-                dtype=np.intp,
-                count=len(decision.nodes),
-            )
-            free = self._avail_mask[rows]
+            # here.  A node listed twice in one decision is still free
+            # at this read, so it is refused by count.
+            ids = [n.node_id for n in decision.nodes]
+            free = self._avail_mask[ids]
             if not free.all():
                 raise SchedulingError(
                     "scheduler picked unavailable node "
-                    f"{int(rows[np.argmin(free)])} for {decision.job.job_id}"
+                    f"{ids[int(np.argmin(free))]} for {decision.job.job_id}"
+                )
+            if len(set(ids)) != len(ids):
+                twice = next(i for i in ids if ids.count(i) > 1)
+                raise SchedulingError(
+                    f"scheduler picked node {twice} twice for "
+                    f"{decision.job.job_id}"
                 )
             self._start_job(decision.job, decision.nodes)
 

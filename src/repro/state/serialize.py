@@ -8,8 +8,8 @@ The JSON header carries the schema version, the repro package version,
 a sha256 content hash, an array directory (dtype/shape/offset per
 array) and the state tree with ``{"__nd__": i}`` placeholders where
 numpy arrays sit.  Array payloads are concatenated raw C-order bytes —
-no pickling anywhere, so checkpoints are safe to load from untrusted
-paths and stable across Python versions.
+nothing in a blob is pickled, so checkpoints are safe to load from
+untrusted paths and stable across Python versions.
 
 The encoding is canonical (sorted JSON keys, sorted set elements,
 order-preserving pair lists for tuples and non-string-keyed dicts), so
@@ -18,6 +18,12 @@ state fingerprint.  The hash covers the header bytes with an empty
 ``content_hash`` value plus the payload; it is written by splicing the
 hex digest into that slot, and readers verify it over the raw bytes, so
 a header re-serialized in any other (non-canonical) form is refused.
+
+Records of the capture lists that mostly repeat between snapshots of
+one simulation (jobs, live events, trace records) are rendered through
+a process-level memo keyed by each record's in-memory pickle; the
+rendered text is spliced into the header, so the bytes are the same
+whatever the memo holds.
 
 Only JSON-able scalars, lists, tuples, sets, dicts and numpy arrays may
 appear in the tree; the capture layer encodes object references as
@@ -30,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import pickle
 import tempfile
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
@@ -165,19 +172,109 @@ _HASH_SLOT = b'"content_hash":"'
 _HASH_HEX = 64
 
 
-def _dump_header(header: Dict[str, Any]) -> bytes:
-    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))``, with
+#: the encoder built once.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+# ----------------------------------------------------------------------
+# Record memo
+# ----------------------------------------------------------------------
+#: The capture lists whose records mostly repeat from one snapshot of a
+#: site to the next (future and terminal jobs, pending submit events,
+#: old trace records): a key tree from ``data`` whose ``True`` leaves
+#: mark the lists.
+_MEMO_LISTS: Dict[str, Any] = {
+    "engine": {"events": True},
+    "jobs": True,
+    "trace": {"records": True},
+}
+#: Memo bound: the memo is emptied when its keys and fragments would
+#: pass this many bytes.
+_MEMO_MAX_BYTES = 4 << 20
+
+#: ``pickle.dumps(record, 5)`` -> the record's canonical JSON text.
+_memo: Dict[bytes, str] = {}
+_memo_bytes = 0
+
+
+def clear_record_memo() -> None:
+    """Empty the record memo; encodes after this one render cold."""
+    global _memo_bytes
+    _memo.clear()
+    _memo_bytes = 0
+
+
+def _render_record(record: Any, arrays: List[np.ndarray], path: str) -> str:
+    """Canonical JSON text of one list record, through the memo.
+
+    The key is the record's pickle, which tells apart everything the
+    encoding tells apart (``1``/``1.0``/``True``, ``0.0``/``-0.0``,
+    tuple/list, dict and set order), so a hit returns exactly the text
+    a fresh render would.  A record without a key renders the plain
+    way; one that placed arrays is never stored, since its
+    ``{"__nd__": i}`` indices depend on its place in the payload.
+    """
+    global _memo_bytes
+    try:
+        key = pickle.dumps(record, 5)
+    except Exception:
+        key = None
+    else:
+        text = _memo.get(key)
+        if text is not None:
+            return text
+    placed = len(arrays)
+    text = _dumps(_encode(record, arrays, path))
+    if key is not None and len(arrays) == placed:
+        size = len(key) + len(text)
+        if size <= _MEMO_MAX_BYTES:
+            if _memo_bytes + size > _MEMO_MAX_BYTES:
+                clear_record_memo()
+            _memo[key] = text
+            _memo_bytes += size
+    return text
+
+
+def _join_object(members: Dict[str, str]) -> str:
+    """A JSON object from rendered member texts, keys in ``sort_keys``
+    order."""
+    return "{" + ",".join(
+        f"{_dumps(k)}:{members[k]}" for k in sorted(members)
+    ) + "}"
+
+
+def _render(value: Any, arrays: List[np.ndarray], path: str, memo: Any) -> str:
+    """Canonical JSON text of ``_encode(value)``, with the records of
+    the lists *memo* marks rendered through the memo.
+
+    The walk order (sorted string keys, list order) is ``_encode``'s,
+    so arrays land in the payload in the same order and the text is
+    the bytes one ``json.dumps`` of the whole tree would give.
+    """
+    if memo is True and type(value) is list:
+        return "[" + ",".join(
+            [_render_record(v, arrays, path) for v in value]
+        ) + "]"
+    if (type(memo) is dict and type(value) is dict
+            and all(isinstance(k, str) and not k.startswith("__")
+                    for k in value)):
+        return _join_object({
+            k: _render(value[k], arrays, f"{path}.{k}", memo.get(k))
+            for k in sorted(value)
+        })
+    return _dumps(_encode(value, arrays, path))
 
 
 def _encode_state(state: SimState) -> Tuple[bytes, str]:
     """Encode *state* once: ``(blob, content_hash)``.
 
-    The header is dumped a single time with an empty hash slot; the
+    The header is rendered a single time with an empty hash slot; the
     sha256 is taken over those bytes plus the payload (the hash's
     definition) and its hex digest is then spliced into the slot.
     """
     arrays: List[np.ndarray] = []
-    tree = _encode(state.data, arrays, "data")
+    data = _render(state.data, arrays, "data", _MEMO_LISTS)
     directory = []
     offset = 0
     chunks = []
@@ -192,13 +289,13 @@ def _encode_state(state: SimState) -> Tuple[bytes, str]:
         offset += len(raw)
         chunks.append(raw)
     payload = b"".join(chunks)
-    blank = _dump_header({
-        "schema": int(state.schema),
-        "repro_version": state.repro_version,
-        "content_hash": "",
-        "arrays": directory,
-        "data": tree,
-    })
+    blank = _join_object({
+        "schema": _dumps(int(state.schema)),
+        "repro_version": _dumps(state.repro_version),
+        "content_hash": '""',
+        "arrays": _dumps(directory),
+        "data": data,
+    }).encode("utf-8")
     hasher = hashlib.sha256(blank)
     hasher.update(payload)
     digest = hasher.hexdigest()

@@ -23,7 +23,7 @@ from repro.core import (
     FirstFitAllocator,
     LowPowerAllocator,
 )
-from repro.errors import NodeStateError
+from repro.errors import ClusterError, NodeStateError
 from repro.power.vector import STATE_CODES, VectorPowerMirror
 from repro.power.model import NodePowerModel
 from repro.policies import DynamicProvisioningPolicy, IdleShutdownPolicy
@@ -82,6 +82,16 @@ class TestTransitionBulk:
         with pytest.raises(Exception):
             machine.transition_bulk([0, 999], NodeState.BUSY, 1.0)
         assert machine.node(0).state is NodeState.IDLE
+
+    def test_duplicate_id_fails_before_mutating(self):
+        machine = small_machine()
+        calls = []
+        machine.bulk_listener = lambda ids, target, time: calls.append(ids)
+        with pytest.raises(ClusterError, match="lists node 3 twice"):
+            machine.transition_bulk([1, 3, 3], NodeState.BUSY, 1.0)
+        assert machine.node(1).state is NodeState.IDLE
+        assert machine.node(3).state is NodeState.IDLE
+        assert calls == []
 
     def test_fallback_fires_per_node_listeners_in_order(self):
         machine = small_machine()

@@ -1,5 +1,7 @@
 """Tests for batch queues."""
 
+import random
+
 import pytest
 
 from repro.core import JobQueue, QueueConfig
@@ -158,6 +160,72 @@ class TestPendingInvalidation:
         nodes, wall = queue.pending_arrays()
         assert nodes.tolist() == [j.nodes for j in order]
         assert wall.tolist() == [j.walltime_request for j in order]
+
+
+class TestIncrementalOrder:
+    """Submit and remove move one job in the cached order by bisect;
+    the order must stay what a full sort of the queue gives."""
+
+    @staticmethod
+    def _oracle(queue):
+        def key(job):
+            qprio = {"default": 0, "vip": 3, "low": -2}[job.queue]
+            return (-qprio, -job.priority, job.submit_time, job.job_id)
+
+        return sorted(queue._jobs.values(), key=key)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_submit_remove_notify(self, job_factory, seed):
+        rng = random.Random(seed)
+        queue = JobQueue([QueueConfig("default"), QueueConfig("vip", priority=3),
+                          QueueConfig("low", priority=-2)])
+        queued = []
+        for step in range(400):
+            op = rng.random()
+            if op < 0.5 or not queued:
+                job = job_factory(
+                    job_id=f"j{step:03d}",
+                    nodes=rng.randint(1, 16),
+                    walltime=float(rng.randint(1, 50) * 60),
+                    # Coarse times and priorities force ties that only
+                    # the job id breaks.
+                    submit=float(rng.randint(0, 5)),
+                    priority=rng.randint(0, 2),
+                    queue=rng.choice(["default", "vip", "low"]),
+                )
+                queue.submit(job)
+                queued.append(job)
+            elif op < 0.85:
+                job = queued.pop(rng.randrange(len(queued)))
+                queue.remove(job.job_id)
+            else:
+                job = rng.choice(queued)
+                job.priority = rng.randint(0, 2)
+                job.nodes = rng.randint(1, 16)
+                queue.notify_job_changed(job.job_id)
+            if rng.random() < 0.3:
+                continue  # let several changes pile up unread
+            expected = self._oracle(queue)
+            assert queue.pending() == expected
+            nodes, wall = queue.pending_arrays()
+            assert nodes.tolist() == [j.nodes for j in expected]
+            assert wall.tolist() == [j.walltime_request for j in expected]
+
+    def test_submit_after_read_does_not_resort(self, job_factory, monkeypatch):
+        queue = JobQueue()
+        for i in range(20):
+            queue.submit(job_factory(job_id=f"j{i:02d}", submit=float(20 - i)))
+        queue.pending()
+        calls = []
+        monkeypatch.setattr(queue, "_sort_key",
+                            lambda job, real=queue._sort_key:
+                            calls.append(job) or real(job))
+        queue.submit(job_factory(job_id="late", submit=5.5))
+        queue.remove("j03")
+        assert [j.job_id for j in queue.pending()] == [
+            j.job_id for j in self._oracle(queue)
+        ]
+        assert len(calls) == 2
 
 
 class TestJobTableMirror:

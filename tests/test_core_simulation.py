@@ -285,6 +285,14 @@ class TestApplyGuard:
         with pytest.raises(SchedulingError, match="unavailable node 2 for j0"):
             self._run(small_machine, picks, setup=shut_down_node_2)
 
+    @pytest.mark.parametrize("picks", [[(3, 3)], [(1,), (4, 2, 4)]])
+    def test_node_listed_twice_in_one_decision(self, small_machine, picks):
+        job = f"j{len(picks) - 1}"
+        with pytest.raises(SchedulingError, match=f"node . twice for {job}"):
+            self._run(small_machine, picks)
+        # Refused before the start: the doubled node is still idle.
+        assert small_machine.nodes[picks[-1][-1]].state is NodeState.IDLE
+
     def test_disjoint_decisions_start(self, small_machine):
         self._run(small_machine, [(0,), (1, 2), (3,)])
         assert [n.state for n in small_machine.nodes[:5]] == (
