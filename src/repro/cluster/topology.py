@@ -12,16 +12,21 @@ Three families cover the surveyed systems: fat-tree (commodity
 clusters, SuperMUC), 3-D torus (K computer's Tofu is a 6-D torus; 3-D
 preserves the locality structure), and dragonfly (Cray XC at KAUST,
 Trinity, LANL).
+
+networkx is imported inside the builders and the methods that walk the
+graph, not at module load: no stock center builds a topology, so a
+process that never asks for one does not pay for the library.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from ..errors import TopologyError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class Topology:
@@ -64,6 +69,8 @@ class Topology:
         key = (a, b) if a < b else (b, a)
         d = self._dist_cache.get(key)
         if d is None:
+            import networkx as nx
+
             try:
                 d = nx.shortest_path_length(
                     self.graph, self._compute[a], self._compute[b]
@@ -104,6 +111,8 @@ def build_fat_tree(num_nodes: int, arity: int = 8) -> Topology:
         raise TopologyError("fat-tree needs >= 1 node")
     if arity <= 0:
         raise TopologyError("fat-tree arity must be >= 1")
+    import networkx as nx
+
     g = nx.Graph()
     num_leaves = (num_nodes + arity - 1) // arity
     core = "core"
@@ -126,6 +135,8 @@ def build_torus3d(dims: Tuple[int, int, int]) -> Topology:
     x, y, z = dims
     if min(dims) <= 0:
         raise TopologyError(f"torus dims must be positive, got {dims}")
+    import networkx as nx
+
     lattice = nx.grid_graph(dim=[x, y, z], periodic=True)
     g = nx.Graph()
     nid = 0
@@ -149,6 +160,8 @@ def build_dragonfly(groups: int, routers_per_group: int = 4, nodes_per_router: i
     """
     if groups <= 0 or routers_per_group <= 0 or nodes_per_router <= 0:
         raise TopologyError("dragonfly parameters must be positive")
+    import networkx as nx
+
     g = nx.Graph()
     nid = 0
     for grp in range(groups):

@@ -422,7 +422,9 @@ def snapshot(sim_obj, extra_roots: Dict[str, Any] = None) -> SimState:
             "events": events,
         },
         "rng": {
-            name: copy.deepcopy(gen.bit_generator.state)
+            # The state getter builds a fresh dict on every read, so the
+            # snapshot is never aliased with the live generator.
+            name: gen.bit_generator.state
             for name, gen in sim_obj.rng._streams.items()
         },
         "nodes": node_state,
@@ -525,7 +527,9 @@ def restore(state: SimState, factory: Callable[[], Any],
 
     # --- rng streams -------------------------------------------------
     for name, bg_state in data["rng"].items():
-        sim_obj.rng.stream(name).bit_generator.state = copy.deepcopy(bg_state)
+        # The setter copies the values into the generator; it keeps no
+        # reference to the captured dict.
+        sim_obj.rng.stream(name).bit_generator.state = bg_state
 
     # --- jobs --------------------------------------------------------
     fresh_jobs = {j.job_id: j for j in sim_obj.jobs}

@@ -16,12 +16,13 @@ scheduler/RM coupling) and is what the `fig1` bench and tests run.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
 from ..core.epa import FunctionalCategory
 from ..errors import SurveyError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Component name -> functional categories it participates in.
 COMPONENT_CATEGORIES: Dict[str, Set[FunctionalCategory]] = {
@@ -74,6 +75,8 @@ INTERACTIONS: List[Tuple[str, str, str]] = [
 
 def build_component_graph() -> nx.DiGraph:
     """The Figure-1 graph with category annotations."""
+    import networkx as nx
+
     graph = nx.DiGraph()
     for component, categories in COMPONENT_CATEGORIES.items():
         graph.add_node(component, categories=frozenset(categories))
@@ -108,6 +111,8 @@ def verify_component_graph(graph: nx.DiGraph) -> List[str]:
     * monitoring flows from sensors toward the scheduler (the
       "detailed historical knowledge" loop).
     """
+    import networkx as nx
+
     problems: List[str] = []
     if not nx.is_weakly_connected(graph):
         problems.append("component graph is not weakly connected")

@@ -105,10 +105,19 @@ class ApplicationCatalog:
         """Application names in catalog order."""
         return [a.name for a in self.apps]
 
+    def draw(self, rng: np.random.Generator, n: int) -> List[Application]:
+        """Draw *n* applications according to the catalog weights.
+
+        One vectorised ``rng.choice``: numpy takes one uniform double per
+        draw, so the stream advances exactly as *n* scalar draws would.
+        """
+        apps = self.apps
+        idx = rng.choice(len(apps), size=n, p=self.weights)
+        return [apps[i] for i in idx.tolist()]
+
     def sample(self, rng: np.random.Generator) -> Application:
         """Draw one application according to the catalog weights."""
-        idx = rng.choice(len(self.apps), p=self.weights)
-        return self.apps[int(idx)]
+        return self.draw(rng, 1)[0]
 
 
 def default_catalog() -> ApplicationCatalog:

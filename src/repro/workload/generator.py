@@ -181,10 +181,10 @@ class WorkloadGenerator:
         walltimes = self._draw_walltimes(work)
         user_idx = self.rng.integers(0, self.spec.users, size=n)
         moldable_mask = self.rng.random(n) < self.spec.moldable_fraction
+        apps = self.spec.catalog.draw(self.rng, n)
 
         jobs: List[Job] = []
-        for i in range(n):
-            app = self.spec.catalog.sample(self.rng)
+        for i, app in enumerate(apps):
             w = float(work[i])
             nd = int(nodes[i])
             moldable: Sequence[MoldableConfig] = ()

@@ -1,11 +1,12 @@
 """The test oracles stay test-only.
 
 ``tests/backfill_oracles.py`` holds the seed schedulers and python
-kernel twins the runtime code is pinned against.  Runtime code that
-imported them would silently put an O(P·T³) loop back on a hot path
-(and make the package depend on its test tree), so any import of the
-oracle module — or of anything under ``tests`` — from ``src/repro``
-fails here.
+kernel twins the runtime code is pinned against, and
+``tests/workload_oracles.py`` the seed's per-job workload draw.
+Runtime code that imported them would silently put an O(P·T³) loop
+back on a hot path (and make the package depend on its test tree), so
+any import of an oracle module — or of anything under ``tests`` — from
+``src/repro`` fails here.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ def _imported_modules(path: pathlib.Path):
 
 def _forbidden(module: str) -> bool:
     parts = module.split(".")
-    return parts[0] == "tests" or "backfill_oracles" in parts
+    return parts[0] == "tests" or any(p.endswith("_oracles") for p in parts)
 
 
 def test_src_never_imports_the_oracles():
@@ -48,10 +49,12 @@ def test_check_catches_an_oracle_import(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text(
         "from tests.backfill_oracles import plan_conservative_py\n"
-        "from .backfill_oracles import ReferenceFreeNodeProfile\n",
+        "from .backfill_oracles import ReferenceFreeNodeProfile\n"
+        "from .workload_oracles import scalar_generate\n",
         encoding="utf-8",
     )
     assert [m for m in _imported_modules(probe) if _forbidden(m)] == [
         "tests.backfill_oracles",
         "backfill_oracles",
+        "workload_oracles",
     ]

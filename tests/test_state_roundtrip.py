@@ -188,6 +188,25 @@ class TestGuards:
         fresh = build_small()
         assert fresh.rng.stream("probe").random(5).tolist() != a
 
+    def test_captured_rng_state_is_not_aliased(self):
+        # The snapshot holds the bit-generator state without a copy:
+        # numpy's getter builds a fresh dict per read and the setter
+        # copies values in, so neither side can reach the other.
+        sim = step_until(build_small(), 700.0)
+        gen = sim.rng.stream("probe")
+        gen.random(3)
+        st = snapshot(sim)
+        captured = st.data["rng"]["probe"]
+        assert captured is not gen.bit_generator.state
+        assert captured == gen.bit_generator.state
+        gen.random(7)
+        assert captured != gen.bit_generator.state
+        live = restore(st, build_small).rng.stream("probe")
+        before = live.bit_generator.state
+        assert before == captured
+        captured["state"]["state"] += 1
+        assert live.bit_generator.state == before
+
 
 SCENARIOS = {
     "small-fcfs": lambda: build_small(scheduler="fcfs"),
