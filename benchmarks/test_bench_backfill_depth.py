@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 
+from repro.cluster import NodeState
 from repro.core import (
     ConservativeBackfillScheduler,
     SchedulingContext,
@@ -51,7 +52,7 @@ def _deep_context(machine, depth: int) -> SchedulingContext:
         )
         job.start(now - 100.0, list(ids))
         for nid in ids:
-            machine.node(nid).assign(job.job_id, now - 100.0)
+            machine.node(nid).transition(NodeState.BUSY, now - 100.0)
         end = now + 200.0 + (i * 37) % 4000
         running.append(RunningJobInfo(job, ids, end))
         i += 1

@@ -9,13 +9,14 @@ each result fingerprint before recording a wall clock:
 
 * ``congested 64k`` — a congested 64k-node machine under an idle-
   shutdown policy whose 15-s tick reads counts and candidates off the
-  power mirror's SoA columns (a per-node scan there costs ~17x);
+  machine's node-store columns (a per-node scan there costs ~17x);
 * ``wide job churn`` — 2k-16k node cohorts started and torn down on
   64k nodes;
 * ``deep queue backfill`` — conservative backfill over hundreds of
   pending reservations;
 * ``million node`` — the 1M-node synthetic cluster, gated behind
-  ``REPRO_BENCH_1M=1`` (minutes of wall time).
+  ``REPRO_BENCH_1M=1`` (minutes of wall time); it records the machine
+  and simulation build (``build_s``) apart from the run (``bulk_s``).
 
 Timings land in ``benchmarks/out/BENCH_engine.json`` (machine-readable,
 uploaded by the CI engine-bench job).
@@ -304,15 +305,18 @@ def test_bench_million_node_cluster(artifact_dir):
     Minutes of wall clock — run explicitly with REPRO_BENCH_1M=1.
     """
     nodes = 1_048_576
-    machine = bench_machine(nodes, nodes_per_cabinet=512)
     jobs = bench_workload(seed=131, count=2000, nodes=nodes,
                           rate_per_hour=600.0, mean_work_hours=1.0)
-    csim = ClusterSimulation(
-        machine, FcfsScheduler(), jobs,
-        policies=[IdleShutdownPolicy(idle_threshold=1800.0, min_spare=512,
-                                     check_interval=300.0)],
-        seed=7, sample_interval=600.0, trace_enabled=False,
-    )
+
+    def build():
+        return ClusterSimulation(
+            bench_machine(nodes, nodes_per_cabinet=512), FcfsScheduler(), jobs,
+            policies=[IdleShutdownPolicy(idle_threshold=1800.0, min_spare=512,
+                                         check_interval=300.0)],
+            seed=7, sample_interval=600.0, trace_enabled=False,
+        )
+
+    build_s, csim = _timed(build)
     horizon = 6.0 * HOUR
     wall, _ = _timed(lambda: csim.run(until=horizon))
     _update_bench_json("million_node", {
@@ -320,6 +324,7 @@ def test_bench_million_node_cluster(artifact_dir):
         "jobs": len(jobs),
         "horizon_h": 6.0,
         "events": csim.sim.events_fired,
+        "build_s": round(build_s, 3),
         "bulk_s": round(wall, 3),
         "events_per_s": round(csim.sim.events_fired / max(wall, 1e-9), 1),
     })

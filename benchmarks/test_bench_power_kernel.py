@@ -213,7 +213,7 @@ def test_bench_context_build(artifact_dir):
     machine = csim.machine
     # Congest the machine: all but one cabinet-ish worth of nodes busy.
     for node in machine.nodes[: n - 512]:
-        node.assign("wide", 0.0)
+        node.transition(NodeState.BUSY, 0.0)
 
     def reference_scan():
         # The seed's two O(N) passes per scheduler invocation.

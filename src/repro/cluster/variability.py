@@ -41,14 +41,22 @@ class VariabilityModel:
         self.clip = float(clip)
 
     def apply(self, nodes: Iterable[Node], rng: np.random.Generator) -> None:
-        """Draw and install a variability factor on each node."""
+        """Draw and install a variability factor on each node.
+
+        Nodes of one machine take the draw in one column write; nodes
+        from separate stores (standalone nodes) are written one by one.
+        """
         nodes = list(nodes)
         if not nodes:
             return
         factors = rng.normal(1.0, self.std, size=len(nodes))
         np.clip(factors, 1.0 - self.clip, 1.0 + self.clip, out=factors)
-        for node, factor in zip(nodes, factors):
-            node.variability = float(factor)
+        store = nodes[0]._store
+        if all(node._store is store for node in nodes):
+            store.write("variability", [node._row for node in nodes], factors)
+        else:
+            for node, factor in zip(nodes, factors.tolist()):
+                node.variability = factor
 
     @staticmethod
     def spread(nodes: Iterable[Node]) -> float:

@@ -123,54 +123,39 @@ class ResourceManager:
     def boot_nodes(self, nodes: Iterable[Node]) -> int:
         """Boot all OFF nodes in *nodes*; returns how many were started.
 
-        When the machine has a bulk listener installed (the owning
-        simulation enabled bulk ops) the whole cohort transitions in
-        one :meth:`Machine.transition_bulk` pass; trace records,
-        counters and the per-node boot-completion events are then
-        emitted in the same cohort order as the scalar loop, so traces
-        and the event sequence are identical either way.
+        The cohort moves in one store row call; trace records, counters
+        and the per-node boot-completion events then follow in cohort
+        order.
         """
         eligible = [n for n in nodes if n.state is NodeState.OFF]
-        if len(eligible) > 1 and self.machine.bulk_listener is not None:
-            self.machine.transition_bulk(
-                [n.node_id for n in eligible], NodeState.BOOTING, self.sim.now,
-                nodes=eligible,
-            )
-            self.boots_initiated += len(eligible)
-            self._emit_nodes("rm.boot.start", eligible)
-            for node in eligible:
-                self._notify_power_changed(node.node_id)
-                self.sim.after(node.boot_time, self._finish_boot, node,
-                               priority=EventPriority.STATE,
-                               name=f"boot:{node.node_id}")
-            return len(eligible)
+        self.machine.store.transition(
+            [n.node_id for n in eligible], NodeState.BOOTING, self.sim.now
+        )
+        self.boots_initiated += len(eligible)
+        self._emit_nodes("rm.boot.start", eligible)
         for node in eligible:
-            self.boot_node(node)
+            self._notify_power_changed(node.node_id)
+            self.sim.after(node.boot_time, self._finish_boot, node,
+                           priority=EventPriority.STATE,
+                           name=f"boot:{node.node_id}")
         return len(eligible)
 
     def shutdown_nodes(self, nodes: Iterable[Node]) -> int:
         """Shut down all IDLE nodes in *nodes*; returns the count.
 
-        Bulk-batched exactly like :meth:`boot_nodes`.
+        One store row call per cohort, exactly like :meth:`boot_nodes`.
         """
         eligible = [n for n in nodes if n.state is NodeState.IDLE]
-        if len(eligible) > 1 and self.machine.bulk_listener is not None:
-            self.machine.transition_bulk(
-                [n.node_id for n in eligible],
-                NodeState.SHUTTING_DOWN,
-                self.sim.now,
-                nodes=eligible,
-            )
-            self.shutdowns_initiated += len(eligible)
-            self._emit_nodes("rm.shutdown.start", eligible)
-            for node in eligible:
-                self._notify_power_changed(node.node_id)
-                self.sim.after(node.shutdown_time, self._finish_shutdown, node,
-                               priority=EventPriority.STATE,
-                               name=f"shutdown:{node.node_id}")
-            return len(eligible)
+        self.machine.store.transition(
+            [n.node_id for n in eligible], NodeState.SHUTTING_DOWN, self.sim.now
+        )
+        self.shutdowns_initiated += len(eligible)
+        self._emit_nodes("rm.shutdown.start", eligible)
         for node in eligible:
-            self.shutdown_node(node)
+            self._notify_power_changed(node.node_id)
+            self.sim.after(node.shutdown_time, self._finish_shutdown, node,
+                           priority=EventPriority.STATE,
+                           name=f"shutdown:{node.node_id}")
         return len(eligible)
 
     # ------------------------------------------------------------------
@@ -198,11 +183,11 @@ class ResourceManager:
     def set_power_cap(self, nodes: Iterable[Node], cap: Optional[float]) -> List[int]:
         """Set (or clear) per-node caps; returns affected node ids.
 
-        The cohort goes through :meth:`Machine.set_power_cap_bulk`: it
-        is validated whole before any cap is written, and the owning
-        simulation absorbs it with one mirror scatter.
+        The cohort is one store row call: validated whole against every
+        node's cap floor before any cap is written.
         """
-        affected = self.machine.set_power_cap_bulk(list(nodes), cap)
+        affected = [n.node_id for n in nodes]
+        self.machine.store.set_caps(affected, cap)
         self._emit("rm.cap", nodes=len(affected), cap=cap)
         if affected and self.on_speed_changed is not None:
             self.on_speed_changed(affected)
@@ -210,10 +195,8 @@ class ResourceManager:
 
     def set_frequency(self, nodes: Iterable[Node], frequency: float) -> List[int]:
         """Set the DVFS frequency on *nodes*; returns affected ids."""
-        affected = []
-        for node in nodes:
-            node.set_frequency(frequency)
-            affected.append(node.node_id)
+        affected = [n.node_id for n in nodes]
+        self.machine.store.set_frequency(affected, frequency)
         self._emit("rm.dvfs", nodes=len(affected), frequency=frequency)
         if affected and self.on_speed_changed is not None:
             self.on_speed_changed(affected)

@@ -32,9 +32,10 @@ class NodeSelection:
     Rows are node ids (``machine.nodes`` positions — the
     :class:`~repro.cluster.machine.Machine` invariant), so id-ordered
     allocator semantics reduce to row slicing.  ``avail_mask`` is the
-    simulation's live availability mask, or the private copy its node
-    filters cleared; ``max_power`` and ``variability`` are the power
-    mirror's SoA columns (no copies).  Schedulers never mutate these —
+    node store's idle mask (``state_code == IDLE``), or the private
+    copy its node filters cleared; ``max_power`` and ``variability``
+    are the machine's node-store columns (no copies).  Schedulers
+    never mutate these —
     :class:`RowPool` copies the mask before drawing it down within a
     pass.
     """

@@ -26,12 +26,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..cluster.machine import Machine
-from ..cluster.node import Node, NodeState
+from ..cluster.node import STATE_CODES, Node, NodeState
 from ..cluster.site import Site
 from ..errors import ConfigurationError, SchedulingError
 from ..power.meter import PowerMeter
 from ..power.model import NodePowerModel
-from ..power.vector import STATE_CODES, VectorPowerMirror
+from ..power.vector import VectorPowerMirror
 from ..simulator.engine import EventHandle, Simulator
 from ..simulator.events import EventPriority
 from ..simulator.rng import RngStreams
@@ -49,9 +49,9 @@ from .scheduler import (
 )
 from ..policies.base import Policy
 
-#: Small-int BUSY code (teardown filters its cohort on the SoA state
-#: column instead of a per-node state scan).
+_IDLE_CODE = STATE_CODES[NodeState.IDLE]
 _BUSY_CODE = STATE_CODES[NodeState.BUSY]
+_DOWN_CODE = STATE_CODES[NodeState.DOWN]
 
 
 class JobExecution:
@@ -148,11 +148,11 @@ class ClusterSimulation:
         If set, the metrics report includes the fraction of samples
         above this limit.
 
-    Machine power is evaluated through the structure-of-arrays mirror
-    (:mod:`repro.power.vector`), and multi-node lifecycle changes — job
-    start/teardown and RM cohort boots/shutdowns — go through
-    ``Machine.transition_bulk`` with one listener firing per cohort;
-    RM cap cohorts likewise go through ``Machine.set_power_cap_bulk``.
+    Node state lives in the machine's :class:`~repro.cluster.node.NodeStore`
+    columns; machine power is folded over them by the vectorized mirror
+    (:mod:`repro.power.vector`).  Every lifecycle change — job
+    start/teardown, RM boots/shutdowns, caps — is one store row call
+    for the whole cohort, whatever its size.
     """
 
     def __init__(
@@ -219,34 +219,10 @@ class ClusterSimulation:
         self._terminal_count = 0
         self._prepared = False
         # Incremental machine power accounting.  A node's draw depends
-        # only on its state/cap/frequency/variability and the (static)
-        # intensity of the job bound to it — never on time directly —
-        # so a running watts sum updated by delta on exactly those
-        # mutations replaces re-summing all N nodes per query.  The
-        # per-node fields are mirrored in numpy arrays
-        # (:class:`~repro.power.vector.VectorPowerMirror`), fed by each
-        # node's ``power_listener`` hook and by job (un)binding, so
-        # re-sums and wide-job re-evaluations are array kernels.
+        # only on its store columns and the (static) intensity of the
+        # job bound to it — never on time directly — so the mirror folds
+        # only the rows the store's writers marked dirty.
         self.power_vector = VectorPowerMirror(machine, self.power_model)
-        # Incremental scheduling context: availability and usable-node
-        # masks maintained on node state transitions (the same listener
-        # feed as power accounting) so build_context() never scans all
-        # N nodes.  Rows are node ids (the Machine invariant), so the
-        # mask walks in the seed's id order.
-        self._avail_mask = np.fromiter(
-            (n.is_available for n in machine.nodes), dtype=bool,
-            count=len(machine.nodes),
-        )
-        self._down_mask = np.fromiter(
-            (n.state is NodeState.DOWN for n in machine.nodes), dtype=bool,
-            count=len(machine.nodes),
-        )
-        self._usable_count = len(machine.nodes) - int(self._down_mask.sum())
-        self._avail_count = int(self._avail_mask.sum())
-        for node in machine.nodes:
-            node.power_listener = self._on_node_event
-        machine.bulk_listener = self._on_bulk_event
-        machine.cap_listener = self._on_cap_cohort
 
         self.meter = PowerMeter(
             self.sim,
@@ -324,65 +300,11 @@ class ClusterSimulation:
     # ------------------------------------------------------------------
     # Power accounting
     # ------------------------------------------------------------------
-    def _on_node_event(self, node_id: int) -> None:
-        """``Node.power_listener`` target: one node's state, cap or
-        frequency changed.  Updates the scheduling-context masks and
-        routes the change into the power mirror."""
-        state = self.machine.nodes[node_id].state
-        avail = state is NodeState.IDLE
-        if avail != bool(self._avail_mask[node_id]):
-            self._avail_mask[node_id] = avail
-            self._avail_count += 1 if avail else -1
-        is_down = state is NodeState.DOWN
-        if is_down != bool(self._down_mask[node_id]):
-            self._down_mask[node_id] = is_down
-            self._usable_count += -1 if is_down else 1
-        self.power_vector.touch(node_id)
-
-    def _on_bulk_event(
-        self, node_ids: Sequence[int], target: NodeState, time: float
-    ) -> None:
-        """``Machine.bulk_listener`` target: a whole cohort made the
-        same transition.  The SoA twin of ``len(node_ids)`` calls into
-        :meth:`_on_node_event`: masks update with one scatter and the
-        power mirror absorbs the cohort in one pass."""
-        rows = np.asarray(node_ids, dtype=np.intp)
-        if target is NodeState.IDLE:
-            newly_avail = int(np.count_nonzero(~self._avail_mask[rows]))
-            if newly_avail:
-                self._avail_mask[rows] = True
-                self._avail_count += newly_avail
-        else:
-            was_avail = int(np.count_nonzero(self._avail_mask[rows]))
-            if was_avail:
-                self._avail_mask[rows] = False
-                self._avail_count -= was_avail
-        if target is NodeState.DOWN:
-            newly_down = int(np.count_nonzero(~self._down_mask[rows]))
-            if newly_down:
-                self._down_mask[rows] = True
-                self._usable_count -= newly_down
-        else:
-            was_down = int(np.count_nonzero(self._down_mask[rows]))
-            if was_down:
-                self._down_mask[rows] = False
-                self._usable_count += was_down
-        self.power_vector.transition_rows(rows, STATE_CODES[target], time)
-
-    def _on_cap_cohort(
-        self, node_ids: Sequence[int], cap: Optional[float]
-    ) -> None:
-        """``Machine.cap_listener`` target: a whole cohort took one cap.
-        A cap moves no node state, so the scheduling masks stand; the
-        power mirror absorbs the cohort in one scatter."""
-        mirror = self.power_vector
-        mirror.set_caps(np.asarray(node_ids, dtype=np.intp), cap)
-
     @property
     def usable_node_count(self) -> int:
         """Nodes not administratively DOWN (capacity ceiling for
-        feasibility checks; maintained incrementally, O(1) to read)."""
-        return self._usable_count
+        feasibility checks; an O(1) read of the store's state counts)."""
+        return len(self.machine) - self.machine.store.counts[_DOWN_CODE]
 
     def execution_on(self, node_id: int) -> Optional[JobExecution]:
         """Execution occupying *node_id*, or None (one O(1)
@@ -433,28 +355,6 @@ class ClusterSimulation:
         the result is independent of mutation order.
         """
         return self.power_vector.machine_watts()
-
-    def invalidate_power_cache(self) -> None:
-        """Force a full re-sum on the next :meth:`machine_power` call.
-
-        Needed only after out-of-band mutations that bypass the node
-        hooks (e.g. re-drawing manufacturing variability on a machine
-        already attached to a simulation).
-        """
-        self.power_vector.invalidate()
-        # State fields may have been rewritten out of band too; one
-        # O(N) rebuild keeps the context masks honest (this path is for
-        # rare bulk mutations, never the per-event hot path).
-        nodes = self.machine.nodes
-        self._avail_mask = np.fromiter(
-            (n.is_available for n in nodes), dtype=bool, count=len(nodes)
-        )
-        self._down_mask = np.fromiter(
-            (n.state is NodeState.DOWN for n in nodes), dtype=bool,
-            count=len(nodes),
-        )
-        self._usable_count = len(nodes) - int(self._down_mask.sum())
-        self._avail_count = int(self._avail_mask.sum())
 
     def node_watts(self) -> np.ndarray:
         """Per-node instantaneous draw, ``machine.nodes`` order.
@@ -560,8 +460,8 @@ class ClusterSimulation:
     def _on_speed_changed(self, node_ids: List[int]) -> None:
         """RM changed caps/frequency: re-evaluate affected executions.
 
-        (The mirror already holds the new caps/frequencies: the write
-        fired the node or cohort listener.)  Affected executions are
+        (The store already holds the new caps/frequencies and marked
+        their rows dirty.)  Affected executions are
         visited in first-occurrence order of *node_ids*: slot ids are
         deduplicated with one gather, then put back in that order.
         Their operating points come from one kernel
@@ -618,15 +518,8 @@ class ClusterSimulation:
             policy.configure_start(job, node_list, now)
 
         # Execution membership lives in the mirror's exec_slot column
-        # (stamped below in one scatter); ``node.running_job`` is not
-        # written.
-        if len(node_list) > 1:
-            self.machine.transition_bulk(
-                node_ids, NodeState.BUSY, now, nodes=node_list
-            )
-        else:
-            for node in node_list:
-                node.transition(NodeState.BUSY, now)
+        # (stamped below in one scatter).
+        self.machine.store.transition(node_ids, NodeState.BUSY, now)
 
         execution = JobExecution(job, node_list)
         execution.last_update = now
@@ -667,23 +560,15 @@ class ClusterSimulation:
             execution.end_handle.cancel()
         if execution.timeout_handle is not None:
             execution.timeout_handle.cancel()
-        now = self.sim.now
-        mirror = self.power_vector
+        store = self.machine.store
         # Nodes that left BUSY out of band (failure -> DOWN) stay where
-        # they are — filtered on the SoA state column, not a node scan.
+        # they are — filtered on the state column, not a node scan.
         rows = execution.rows
-        busy_rows = rows[mirror.state_code[rows] == _BUSY_CODE]
-        busy = list(map(self.machine.nodes.__getitem__, busy_rows.tolist()))
-        if len(execution.nodes) > 1:
-            if busy:
-                self.machine.transition_bulk(
-                    [n.node_id for n in busy], NodeState.IDLE, now,
-                    nodes=busy,
-                )
-        else:
-            for node in busy:
-                node.transition(NodeState.IDLE, now)
-        mirror.unbind_execution(rows)
+        store.transition(
+            rows[store.state_code[rows] == _BUSY_CODE], NodeState.IDLE,
+            self.sim.now,
+        )
+        self.power_vector.unbind_execution(rows)
         self._release_slot(execution)
         self._executions.pop(execution.job.job_id, None)
 
@@ -772,20 +657,21 @@ class ClusterSimulation:
     def build_context(self) -> SchedulingContext:
         """Snapshot the current state for the scheduler.
 
-        The availability mask, its count and the usable-node count are
-        maintained on node state transitions (see ``_on_node_event``),
-        not rebuilt by scanning all N nodes; the context hands the live
-        mask to the scheduler as a :class:`NodeSelection`, whose rows
-        are node ids.  Filter policies clear rows of one private copy
-        of the mask, taken before the first filter, and the context's
-        free count is then that copy's popcount.  The ``running`` list
+        The availability mask is the store's ``state_code == IDLE``
+        mask, handed to the scheduler as a :class:`NodeSelection` whose
+        rows are node ids; the free and usable counts come from the
+        store's state counts.  Filter policies clear rows of one
+        private copy of the mask, taken before the first filter, and
+        the context's free count is then that copy's popcount.  The
+        ``running`` list
         is *lazy*: the context carries a factory that reads live state,
         which is safe because nothing mutates executions while a
         scheduler is deciding.
         """
         now = self.sim.now
-        avail_mask = self._avail_mask
-        avail_count = self._avail_count
+        store = self.machine.store
+        avail_mask = store.idle_mask()
+        avail_count = store.counts[_IDLE_CODE]
         if self._filter_policies:
             avail_mask = avail_mask.copy()
             for policy in self._filter_policies:
@@ -826,7 +712,6 @@ class ClusterSimulation:
             def admit(job: Job) -> bool:
                 return all(p.admit(job, now) for p in self.policies)
 
-        mirror = self.power_vector
         return SchedulingContext(
             now=now,
             machine=self.machine,
@@ -834,11 +719,11 @@ class ClusterSimulation:
             selection=NodeSelection(
                 avail_mask=avail_mask,
                 machine=self.machine,
-                max_power=mirror.max_power,
-                variability=mirror.variability,
+                max_power=store.max_power,
+                variability=store.variability,
             ),
             admit=admit,
-            usable_node_count=self._usable_count,
+            usable_node_count=self.usable_node_count,
             running_factory=running_factory,
             avail_count=avail_count,
             pending_arrays=pending_arrays,
@@ -862,14 +747,14 @@ class ClusterSimulation:
             # snapshot the scheduler saw does not reflect that.
             if not all(p.admit(decision.job, now) for p in self.policies):
                 continue
-            # One read of the live availability mask guards the whole
-            # cohort: every start clears its nodes' rows (through the
-            # node or cohort listener), so a node that is not idle, or
-            # that an earlier decision of this pass already took, fails
-            # here.  A node listed twice in one decision is still free
-            # at this read, so it is refused by count.
+            # One read of the live state column guards the whole
+            # cohort: every start moves its rows to BUSY, so a node that
+            # is not idle, or that an earlier decision of this pass
+            # already took, fails here.  A node listed twice in one
+            # decision is still free at this read, so it is refused by
+            # count.
             ids = [n.node_id for n in decision.nodes]
-            free = self._avail_mask[ids]
+            free = self.machine.store.state_code[ids] == _IDLE_CODE
             if not free.all():
                 raise SchedulingError(
                     "scheduler picked unavailable node "

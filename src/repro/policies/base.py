@@ -80,8 +80,8 @@ class Policy:
 
         *mask* is a boolean array over ``machine.nodes`` rows (node
         ids) marking the nodes usable this pass.  It is one private
-        copy of the simulation's availability mask, taken before the
-        first filter and passed through every filter in policy order.
+        copy of the node store's idle mask, taken before the first
+        filter and passed through every filter in policy order.
         A filter may only *clear* rows — withhold nodes — never set
         one; it may write *mask* in place and returns the mask the
         next filter sees.  The pass's free count is the final mask's
@@ -124,15 +124,15 @@ class Policy:
         """Cap every powered node (``Node.is_on``) at an even share of
         *limit_watts*, raised to the highest cap floor (idle power)
         among them so the cohort cap stays enforceable.  The powered
-        set and the floor are read from the simulation's power mirror.
+        set and the floor are read from the machine's node store.
         Returns False, capping nothing, when no node is powered."""
         simulation = self.simulation
-        mirror = simulation.power_vector
-        rows = mirror.powered_rows()
+        store = simulation.machine.store
+        rows = store.powered_rows()
         if rows.size == 0:
             return False
         per_node = limit_watts / rows.size
-        floor = float(mirror.idle_power[rows].max())
+        floor = float(store.idle_power[rows].max())
         nodes = simulation.machine.nodes
         simulation.rm.set_power_cap(
             [nodes[row] for row in rows.tolist()], max(per_node, floor)

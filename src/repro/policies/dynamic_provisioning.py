@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from ..cluster.node import NodeState
+from ..cluster.node import STATE_CODES, NodeState
 from ..core.epa import FunctionalCategory
 from ..units import check_positive
 from ..workload.job import Job
@@ -144,8 +144,9 @@ class DynamicProvisioningPolicy(Policy):
             # (lagging) window average — budgeting boots against the
             # average causes boot/shed thrash at long windows.
             demand = sum(j.nodes for j in pending[:16])
-            idle_count = len(machine.nodes_in_state(NodeState.IDLE))
-            booting = len(machine.nodes_in_state(NodeState.BOOTING))
+            counts = machine.store.counts
+            idle_count = counts[STATE_CODES[NodeState.IDLE]]
+            booting = counts[STATE_CODES[NodeState.BOOTING]]
             deficit = demand - idle_count - booting
             if deficit > 0:
                 sample = machine.nodes[0]

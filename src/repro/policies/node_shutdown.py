@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from ..cluster.node import NodeState
+from ..cluster.node import STATE_CODES, NodeState
 from ..core.epa import FunctionalCategory
-from ..power.vector import STATE_CODES
 from ..units import check_non_negative, check_positive
 from .base import Policy
 
@@ -59,24 +58,25 @@ class IdleShutdownPolicy(Policy):
         """Boot OFF nodes on a queue deficit, else shut down surplus
         long-idle nodes.
 
-        Counts and candidates come off the simulation's power mirror:
-        state counts are O(1), boot picks are OFF rows in node-id
-        order, and shutdown picks are idle rows ranked longest-idle
+        Counts and candidates come off the machine's node store: state
+        counts are O(1), boot picks are OFF rows in node-id order, and
+        shutdown picks are idle rows ranked longest-idle
         first, node id breaking ties.  ``energy_saved_estimate``
         accumulates node by node in that order (it is captured in
         ``repro.state`` snapshots, so summation order matters).
         """
         simulation = self.simulation
-        mirror = simulation.power_vector
+        store = simulation.machine.store
         nodes = simulation.machine.nodes
         rm = simulation.rm
         demand = self._queue_demand()
-        idle = mirror.count_in_state(_IDLE)
-        supply = idle + mirror.count_in_state(_BOOTING)
+        idle = store.counts[_IDLE]
+        supply = idle + store.counts[_BOOTING]
 
         if demand > supply:
             deficit = demand - supply
-            rm.boot_nodes([nodes[row] for row in mirror.off_rows()[:deficit]])
+            off = store.rows_in(NodeState.OFF)[:deficit]
+            rm.boot_nodes([nodes[row] for row in off.tolist()])
             return
 
         # Shut down surplus long-idle nodes, preserving the spare margin.
@@ -84,8 +84,8 @@ class IdleShutdownPolicy(Policy):
         surplus = idle - keep
         if surplus <= 0:
             return
-        rows = mirror.idle_candidate_rows(now, self.idle_threshold)[:surplus]
-        to_stop = [nodes[row] for row in rows]
+        rows = store.idle_candidate_rows(now, self.idle_threshold)[:surplus]
+        to_stop = [nodes[row] for row in rows.tolist()]
         for node in to_stop:
             self.energy_saved_estimate += node.idle_power * self.control_interval
         rm.shutdown_nodes(to_stop)

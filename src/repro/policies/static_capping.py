@@ -70,9 +70,9 @@ class StaticCappingPolicy(Policy):
 
     def worst_case_power(self) -> float:
         """Guaranteed machine power bound under this partitioning."""
-        mirror = self.simulation.power_vector
-        effective_max = mirror.max_power * mirror.variability
-        capped = np.zeros(len(mirror), dtype=bool)
+        store = self.simulation.machine.store
+        effective_max = store.max_power * store.variability
+        capped = np.zeros(len(store), dtype=bool)
         capped[self.capped_node_ids] = True
         return float(
             np.where(

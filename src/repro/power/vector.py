@@ -1,4 +1,4 @@
-"""Structure-of-arrays mirror of the machine for vectorized power math.
+"""Vectorized power fold over the machine's node columns.
 
 :class:`NodePowerModel` is the executable spec: one node in, one
 :class:`~repro.power.model.PowerSample` out.  That shape is perfect for
@@ -8,65 +8,39 @@ policy in this reproduction query *whole-machine* power every tick, and
 a per-node Python call that allocates a frozen dataclass caps the
 simulator at a few thousand nodes.
 
-:class:`VectorPowerMirror` keeps the power-relevant node fields
-(state code, idle/max/off power, variability, frequency and DVFS range,
-cap, and the bound job's intensity/sensitivity) as flat numpy arrays,
-one row per node in ``machine.nodes`` order, and evaluates the *same*
-operating-point semantics as the scalar model — boot/shutdown states,
-cap clamping to ``f_min``, cap-violation flags — in a handful of array
-ops.  Equivalence with :meth:`NodePowerModel.operating_point` is pinned
-by the randomized sweeps in ``tests/test_power_vector.py``.
+:class:`VectorPowerMirror` evaluates the *same* operating-point
+semantics as the scalar model — boot/shutdown states, cap clamping to
+``f_min``, cap-violation flags — in a handful of array ops over the
+machine's :class:`~repro.cluster.node.NodeStore` columns (state code,
+idle/max/off power, variability, frequency and DVFS range, cap).  It
+owns only what a node does not: the bound job's intensity and
+sensitivity per row (``utilization``/``sensitivity``), the execution
+slot per row (``exec_slot``) and the fold's cache.  Equivalence with
+:meth:`NodePowerModel.operating_point` is pinned by the randomized
+sweeps in ``tests/test_power_vector.py``.
 
-Sync contract
--------------
-The mirror is *push*-synchronized:
-
-* every mutation that goes through the node state machine or power
-  setters (``transition``/``set_power_cap``/``set_frequency``) fires
-  ``Node.power_listener``, which the owning simulation routes into
-  :meth:`touch` — the row is re-read from the node and marked dirty;
-* cohort writes fire one machine-level listener instead:
-  ``Machine.transition_bulk`` lands in :meth:`transition_rows` and
-  ``Machine.set_power_cap_bulk`` in :meth:`set_caps`, each one scatter
-  over the cohort's rows;
-* job (un)binding does not fire the hook; the simulation calls
-  :meth:`bind_execution`/:meth:`unbind_execution` where it allocates or
-  frees the job's execution slot (``exec_slot`` row membership);
-* anything else (re-drawing variability on a live machine, rewriting
-  ``idle_power`` in place) bypasses both channels and requires an
-  explicit :meth:`invalidate` — surfaced to users as
-  ``ClusterSimulation.invalidate_power_cache()``.
-
-``machine_watts()`` keeps a per-row watts cache plus a running total:
-O(1) when nothing is dirty, one vectorized kernel over the dirty rows
-otherwise, and a full vectorized re-sum once at least half the machine
-is dirty (no slower than the delta path, and it resets accumulated
-floating-point drift).
+One store, one rule: the store's row methods are the only writers of
+node columns, and every writer — including the binding writes here —
+marks its rows in ``store.dirty``.  ``machine_watts()`` keeps a per-row
+watts cache plus a running total: O(1) when nothing is dirty, one
+vectorized kernel over the dirty rows otherwise, and a full vectorized
+re-sum once at least half the machine is dirty (no slower than the
+delta path, and it resets accumulated floating-point drift).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..cluster.machine import Machine
-from ..cluster.node import NodeState
+from ..cluster.node import STATE_CODES, NodeState
 from . import kernels
 from .model import NodePowerModel
 
 __all__ = ["OperatingPoints", "VectorPowerMirror", "STATE_CODES"]
-
-#: NodeState -> small-int code used in the state-code array.
-STATE_CODES: Dict[NodeState, int] = {
-    NodeState.OFF: 0,
-    NodeState.DOWN: 1,
-    NodeState.BOOTING: 2,
-    NodeState.SHUTTING_DOWN: 3,
-    NodeState.IDLE: 4,
-    NodeState.BUSY: 5,
-}
 
 # The kernel layer hard-codes the codes (it does not import the node
 # state machine); fail loudly if the two tables ever drift.
@@ -97,105 +71,36 @@ class OperatingPoints:
 
 
 class VectorPowerMirror:
-    """SoA mirror of one machine, bound to one :class:`NodePowerModel`.
+    """Power fold of one machine, bound to one :class:`NodePowerModel`.
 
-    Rows are positions in ``machine.nodes``, which are the node ids
-    (:class:`~repro.cluster.machine.Machine` enforces it).
+    Rows are node ids, the rows of ``machine.store``.  Building a mirror
+    clears the store's dirty set and schedules a full re-sum.
     """
 
     def __init__(self, machine: Machine, model: NodePowerModel) -> None:
         self.machine = machine
+        self.store = machine.store
         self.model = model
-        self._nodes = machine.nodes
-        n = len(self._nodes)
-        self.state_code = np.zeros(n, dtype=np.int8)
-        self.idle_power = np.zeros(n)
-        self.max_power = np.zeros(n)
-        self.off_power = np.zeros(n)
-        self.variability = np.ones(n)
-        self.frequency = np.zeros(n)
-        self.min_frequency = np.zeros(n)
-        self.max_frequency = np.ones(n)
-        #: +inf encodes "no cap" — every comparison against it then
-        #: behaves exactly like the scalar ``cap is None`` branches.
-        self.power_cap = np.full(n, np.inf)
+        n = len(machine)
         self.utilization = np.ones(n)
         self.sensitivity = np.ones(n)
-        # Lifecycle array (beyond power): idle timestamps (NaN encodes
-        # "no idle timestamp", mirroring the scalar None).
-        self.idle_since = np.full(n, np.nan)
         #: Execution-slot id per row, -1 when no execution occupies the
         #: node.  The owning simulation maps slots to JobExecution
         #: objects (``ClusterSimulation._exec_slots``): membership moves
         #: in one scatter per cohort instead of a Python loop.
         self.exec_slot = np.full(n, -1, dtype=np.int32)
-        #: Incremental per-state-code node counts (len == #codes):
-        #: refresh_row moves one unit between buckets, so policy ticks
-        #: read counts in O(1) instead of scanning the state array.
-        self._state_counts: List[int] = [0] * len(STATE_CODES)
 
         self._watts = np.zeros(n)
         self._total = 0.0
-        self._dirty: set = set()
         self._all_dirty = True
-        self.refresh_all()
+        self.store.dirty.clear()
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._watts)
 
     # ------------------------------------------------------------------
-    # Synchronization
+    # Job binding
     # ------------------------------------------------------------------
-    def refresh_row(self, row: int) -> None:
-        """Re-read one node's power-relevant fields into the arrays."""
-        node = self._nodes[row]
-        code = STATE_CODES[node.state]
-        counts = self._state_counts
-        counts[self.state_code[row]] -= 1
-        counts[code] += 1
-        self.state_code[row] = code
-        self.idle_power[row] = node.idle_power
-        self.max_power[row] = node.max_power
-        self.off_power[row] = node.off_power
-        self.variability[row] = node.variability
-        self.frequency[row] = node.frequency
-        self.min_frequency[row] = node.min_frequency
-        self.max_frequency[row] = node.max_frequency
-        cap = node.power_cap
-        self.power_cap[row] = np.inf if cap is None else cap
-        idle_since = node.idle_since
-        self.idle_since[row] = np.nan if idle_since is None else idle_since
-
-    def touch(self, node_id: int) -> None:
-        """``Node.power_listener`` entry point: resync + mark dirty."""
-        self.refresh_row(node_id)
-        self._dirty.add(node_id)
-
-    def set_caps(self, rows: np.ndarray, cap: Optional[float]) -> None:
-        """Cohort twin of :meth:`touch` after ``Node.set_power_cap``:
-        scatter one cap (``None`` -> +inf) into *rows* and mark them
-        dirty.  A cap write changes no other mirrored field."""
-        self.power_cap[rows] = np.inf if cap is None else cap
-        self._dirty.update(rows.tolist())
-
-    def powered_rows(self) -> np.ndarray:
-        """Rows of nodes drawing operational power (``Node.is_on``:
-        booting, shutting down, idle or busy), in row order."""
-        state = self.state_code
-        return np.flatnonzero((state != _OFF) & (state != _DOWN))
-
-    def bind(self, rows: np.ndarray, utilization: float, sensitivity: float) -> None:
-        """Record a job binding on *rows* (intensity enters the bill)."""
-        self.utilization[rows] = min(1.0, max(0.0, float(utilization)))
-        self.sensitivity[rows] = min(1.0, max(0.0, float(sensitivity)))
-        self._dirty.update(rows.tolist())
-
-    def unbind(self, rows: np.ndarray) -> None:
-        """Drop a job binding: rows fall back to the unbound defaults."""
-        self.utilization[rows] = 1.0
-        self.sensitivity[rows] = 1.0
-        self._dirty.update(rows.tolist())
-
     def bind_execution(
         self,
         rows: np.ndarray,
@@ -203,70 +108,25 @@ class VectorPowerMirror:
         utilization: float,
         sensitivity: float,
     ) -> None:
-        """:meth:`bind` plus SoA execution membership: stamp *slot*
-        into ``exec_slot``, replacing the
-        owning simulation's per-node dict/attribute loops with one
-        scatter per cohort."""
+        """Record a job binding on *rows*: stamp *slot* into
+        ``exec_slot`` and the job's intensity (which enters the bill)
+        and sensitivity, in one scatter per cohort."""
         self.exec_slot[rows] = slot
         self.utilization[rows] = min(1.0, max(0.0, float(utilization)))
         self.sensitivity[rows] = min(1.0, max(0.0, float(sensitivity)))
-        self._dirty.update(rows.tolist())
+        self.store.dirty.update(rows.tolist())
 
     def unbind_execution(self, rows: np.ndarray) -> None:
-        """:meth:`unbind` plus membership teardown: clear ``exec_slot``
-        in the same scatter."""
+        """Drop a job binding: clear ``exec_slot`` and fall back to the
+        unbound defaults."""
         self.exec_slot[rows] = -1
         self.utilization[rows] = 1.0
         self.sensitivity[rows] = 1.0
-        self._dirty.update(rows.tolist())
-
-    def transition_rows(self, rows: np.ndarray, code: int, time: float) -> None:
-        """Apply one lifecycle transition to *rows* in a single SoA pass.
-
-        The bulk twin of per-row :meth:`touch` after
-        ``Node.transition``: state codes, idle timestamps (NaN for
-        non-idle targets, mirroring the scalar ``None``) and the
-        incremental state-count buckets all move in one scatter, and the rows join the dirty set for the next
-        ``machine_watts`` fold.  Power-relevant fields other than state
-        never change during a transition, so nothing else is re-read.
-
-        Precondition (holds at every bulk call site): the scalar nodes
-        were already moved to the same target state.  Execution
-        membership (``exec_slot``) is not touched here; it moves in
-        :meth:`bind_execution` / :meth:`unbind_execution`.
-        """
-        counts = self._state_counts
-        old_codes, old_counts = np.unique(
-            self.state_code[rows], return_counts=True
-        )
-        for old, cnt in zip(old_codes.tolist(), old_counts.tolist()):
-            counts[old] -= cnt
-        counts[code] += int(rows.size)
-        self.state_code[rows] = code
-        self.idle_since[rows] = time if code == _IDLE else np.nan
-        self._dirty.update(rows.tolist())
-
-    def refresh_all(self) -> None:
-        """Re-read every row (used at build time and by invalidate)."""
-        for row in range(len(self._nodes)):
-            self.refresh_row(row)
-        # Ground truth after a bulk resync (the incremental deltas in
-        # refresh_row assumed array/state consistency that an
-        # out-of-band mutation may have broken).
-        self._state_counts = np.bincount(
-            self.state_code, minlength=len(STATE_CODES)
-        ).tolist()
-        self._all_dirty = True
-        self._dirty.clear()
-
-    def invalidate(self) -> None:
-        """Full resync for mutations that bypassed both sync channels."""
-        self.refresh_all()
+        self.store.dirty.update(rows.tolist())
 
     def force_resum(self) -> None:
-        """Mark the cached total stale without touching any row (the
-        rows are already in sync; benchmarks use this to time the pure
-        full-re-sum kernel path)."""
+        """Mark the cached total stale without touching any row
+        (benchmarks use this to time the pure full-re-sum kernel path)."""
         self._all_dirty = True
 
     # ------------------------------------------------------------------
@@ -279,15 +139,16 @@ class VectorPowerMirror:
         branch; see that method for the physics.
         """
         sel = slice(None) if rows is None else rows
-        state = self.state_code[sel]
-        idle = self.idle_power[sel]
-        max_p = self.max_power[sel]
-        off_p = self.off_power[sel]
-        var = self.variability[sel]
-        freq = self.frequency[sel]
-        min_f = self.min_frequency[sel]
-        max_f = self.max_frequency[sel]
-        cap = self.power_cap[sel]
+        store = self.store
+        state = store.state_code[sel]
+        idle = store.idle_power[sel]
+        max_p = store.max_power[sel]
+        off_p = store.off_power[sel]
+        var = store.variability[sel]
+        freq = store.frequency[sel]
+        min_f = store.min_frequency[sel]
+        max_f = store.max_frequency[sel]
+        cap = store.power_cap[sel]
         util = self.utilization[sel]
         sens = self.sensitivity[sel]
         model = self.model
@@ -342,16 +203,17 @@ class VectorPowerMirror:
         """Watts for the selected rows via the kernel layer (a numpy
         expression bit-identical to ``operating_points(sel).watts``)."""
         model = self.model
+        store = self.store
         return kernels.node_watts_np(
-            self.state_code[sel],
-            self.idle_power[sel],
-            self.max_power[sel],
-            self.off_power[sel],
-            self.variability[sel],
-            self.frequency[sel],
-            self.min_frequency[sel],
-            self.max_frequency[sel],
-            self.power_cap[sel],
+            store.state_code[sel],
+            store.idle_power[sel],
+            store.max_power[sel],
+            store.off_power[sel],
+            store.variability[sel],
+            store.frequency[sel],
+            store.min_frequency[sel],
+            store.max_frequency[sel],
+            store.power_cap[sel],
             self.utilization[sel],
             model.alpha,
             model.boot_power_fraction,
@@ -375,7 +237,7 @@ class VectorPowerMirror:
             self._watts[rows] = fresh
         self._total = total
         self._all_dirty = False
-        self._dirty.clear()
+        self.store.dirty.clear()
         return total
 
     def peek_watts(self) -> float:
@@ -391,7 +253,7 @@ class VectorPowerMirror:
     def _fold(self):
         """``(rows, fresh watts, total)`` of the pending fold: rows is
         ``None`` when clean, ``slice(None)`` for a full re-sum."""
-        dirty = self._dirty
+        dirty = self.store.dirty
         if self._all_dirty or 2 * len(dirty) >= len(self._watts):
             watts = self._watts_kernel(slice(None))
             return slice(None), watts, float(watts.sum())
@@ -410,34 +272,6 @@ class VectorPowerMirror:
         return self._watts.copy()
 
     # ------------------------------------------------------------------
-    # Lifecycle kernels (policy tick helpers)
-    # ------------------------------------------------------------------
-    def count_in_state(self, code: int) -> int:
-        """Number of nodes whose state code equals *code*.  O(1): the
-        counts are maintained incrementally."""
-        return self._state_counts[code]
-
-    def idle_candidate_rows(self, now: float, threshold: float) -> np.ndarray:
-        """Rows idle for at least *threshold* seconds at *now*, ordered
-        by ``(idle_since, node_id)`` — longest idle first, node id
-        breaking ties.  NaN ``idle_since`` rows (no idle timestamp)
-        never qualify, mirroring the scalar ``None`` guard."""
-        idle_since = self.idle_since
-        with np.errstate(invalid="ignore"):
-            mask = (self.state_code == _IDLE) & (now - idle_since >= threshold)
-        rows = np.flatnonzero(mask)
-        if rows.size > 1:
-            # flatnonzero rows are already id-ordered; a stable sort on
-            # idle_since alone yields the (idle_since, node_id) order.
-            rows = rows[np.argsort(idle_since[rows], kind="stable")]
-        return rows
-
-    def off_rows(self) -> np.ndarray:
-        """Rows currently OFF, ordered by node id — the vector twin of
-        ``sorted(rm.off_nodes(), key=lambda n: n.node_id)``."""
-        return np.flatnonzero(self.state_code == _OFF)
-
-    # ------------------------------------------------------------------
     # Prediction kernels (policy helpers)
     # ------------------------------------------------------------------
     def frequencies_for_cap(
@@ -450,11 +284,12 @@ class VectorPowerMirror:
         highest Hz per row whose predicted power meets the row's cap,
         clamped to the DVFS range."""
         caps = np.asarray(caps, dtype=float)
-        idle = self.idle_power[rows]
-        min_f = self.min_frequency[rows]
-        max_f = self.max_frequency[rows]
+        store = self.store
+        idle = store.idle_power[rows]
+        min_f = store.min_frequency[rows]
+        max_f = store.max_frequency[rows]
         util = min(1.0, max(0.0, float(utilization)))
-        dyn = (self.max_power[rows] - idle) * self.variability[rows] * util
+        dyn = (store.max_power[rows] - idle) * store.variability[rows] * util
         budgeted = caps - idle
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = (
@@ -474,9 +309,10 @@ class VectorPowerMirror:
     ) -> np.ndarray:
         """Vector twin of :meth:`NodePowerModel.power_at_ratio`:
         predicted BUSY watts per row at an explicit frequency ratio."""
-        idle = self.idle_power[rows]
-        min_ratio = self.min_frequency[rows] / self.max_frequency[rows]
+        store = self.store
+        idle = store.idle_power[rows]
+        min_ratio = store.min_frequency[rows] / store.max_frequency[rows]
         ratios = np.minimum(1.0, np.maximum(min_ratio, np.asarray(ratios, dtype=float)))
         util = min(1.0, max(0.0, float(utilization)))
-        dyn = (self.max_power[rows] - idle) * self.variability[rows] * util
+        dyn = (store.max_power[rows] - idle) * store.variability[rows] * util
         return idle + dyn * ratios**self.model.alpha

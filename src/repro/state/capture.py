@@ -5,7 +5,7 @@ Contract
 ``snapshot(sim)`` walks a *running* simulation and produces a
 :class:`~repro.state.serialize.SimState`: a plain-data tree holding the
 engine clock/heap/sequence counters, every rng stream position, all
-mutable node fields, job life-cycle state, running executions, queue
+mutable node-store columns, job life-cycle state, running executions, queue
 contents, the power mirror's accounting caches (captured bit-exactly
 — a restored run must NOT re-sum, because a full re-sum can differ
 from the incremental accumulator in the last ulp), meter and trace
@@ -38,7 +38,7 @@ import numpy as np
 
 from .._version import __version__
 from ..buffers import sample_buffer
-from ..cluster.node import Node, NodeState
+from ..cluster.node import STATE_CODES, Node, NodeState
 from ..errors import StateError
 from ..power.budget import PowerBudget
 from ..simulator.trace import TraceRecord
@@ -63,18 +63,25 @@ _FRAMEWORK_CLASSES = frozenset({
 
 _FAIL = object()
 
+#: Node columns fixed at build, in config-signature order (after the id).
+_STATIC_COLUMNS = (
+    "cores", "memory_gb", "idle_power", "max_power", "boot_time",
+    "shutdown_time", "off_power", "max_frequency", "min_frequency",
+)
+#: State code <-> the ``NodeState`` value string a snapshot records.
+_STATE_VALUES = {code: state.value for state, code in STATE_CODES.items()}
+_STATE_CODE_OF = {value: code for code, value in _STATE_VALUES.items()}
+
 
 # ----------------------------------------------------------------------
 # Config signature
 # ----------------------------------------------------------------------
 def _config_signature(sim_obj) -> Dict[str, Any]:
     machine = sim_obj.machine
-    node_statics = [
-        (n.node_id, n.cores, n.memory_gb, n.idle_power, n.max_power,
-         n.boot_time, n.shutdown_time, n.off_power, n.max_frequency,
-         n.min_frequency)
-        for n in machine.nodes
-    ]
+    store = machine.store
+    node_statics = list(zip(range(len(machine)), *(
+        getattr(store, name).tolist() for name in _STATIC_COLUMNS
+    )))
     summary = {
         "machine": machine.name,
         "nodes": len(machine),
@@ -371,19 +378,17 @@ def snapshot(sim_obj, extra_roots: Dict[str, Any] = None) -> SimState:
 
     events = [describe_event(ev, by_id) for ev in engine.iter_live_events()]
 
-    nodes = sim_obj.machine.nodes
+    store = sim_obj.machine.store
     node_state = {
-        "state": [n.state.value for n in nodes],
-        "frequency": np.array([n.frequency for n in nodes]),
-        "power_cap": np.array([
-            np.inf if n.power_cap is None else n.power_cap for n in nodes
-        ]),
-        "variability": np.array([n.variability for n in nodes]),
-        "last_state_change": np.array([n.last_state_change for n in nodes]),
-        "idle_since": np.array([
-            np.nan if n.idle_since is None else n.idle_since for n in nodes
-        ]),
-        "running_job": [n.running_job for n in nodes],
+        "state": list(map(_STATE_VALUES.__getitem__, store.state_code.tolist())),
+        "frequency": store.frequency.copy(),
+        "power_cap": store.power_cap.copy(),
+        "variability": store.variability.copy(),
+        "last_state_change": store.last_state_change.copy(),
+        "idle_since": store.idle_since.copy(),
+        # Schema 5 keeps this key; execution membership lives in the
+        # executions section, so every entry is None.
+        "running_job": [None] * len(store),
     }
 
     executions = [
@@ -405,7 +410,7 @@ def snapshot(sim_obj, extra_roots: Dict[str, Any] = None) -> SimState:
         "backend": "vector",
         "watts": mirror._watts.copy(),
         "total": mirror._total,
-        "dirty": sorted(int(r) for r in mirror._dirty),
+        "dirty": sorted(int(r) for r in store.dirty),
         "all_dirty": mirror._all_dirty,
         "utilization": mirror.utilization.copy(),
         "sensitivity": mirror.sensitivity.copy(),
@@ -550,29 +555,17 @@ def restore(state: SimState, factory: Callable[[], Any],
     sim_obj.jobs = jobs
     job_index = {j.job_id: j for j in jobs}
 
-    # --- nodes -------------------------------------------------------
-    nodes = sim_obj.machine.nodes
+    # --- nodes (the store's dirty set is restored with the power) ----
+    store = sim_obj.machine.store
     ns = data["nodes"]
-    for row, node in enumerate(nodes):
-        node.state = NodeState(ns["state"][row])
-        node.frequency = float(ns["frequency"][row])
-        cap = float(ns["power_cap"][row])
-        node.power_cap = None if np.isinf(cap) else cap
-        node.variability = float(ns["variability"][row])
-        node.last_state_change = float(ns["last_state_change"][row])
-        idle = float(ns["idle_since"][row])
-        node.idle_since = None if np.isnan(idle) else idle
-        node.running_job = ns["running_job"][row]
-
-    # --- scheduling-context masks (derived from node state) ----------
-    sim_obj._avail_mask = np.fromiter(
-        (n.is_available for n in nodes), dtype=bool, count=len(nodes)
+    store.load(
+        state_code=list(map(_STATE_CODE_OF.__getitem__, ns["state"])),
+        frequency=ns["frequency"],
+        power_cap=ns["power_cap"],
+        variability=ns["variability"],
+        last_state_change=ns["last_state_change"],
+        idle_since=ns["idle_since"],
     )
-    sim_obj._down_mask = np.fromiter(
-        (n.state is NodeState.DOWN for n in nodes), dtype=bool, count=len(nodes)
-    )
-    sim_obj._usable_count = len(nodes) - int(sim_obj._down_mask.sum())
-    sim_obj._avail_count = int(sim_obj._avail_mask.sum())
 
     # --- queue -------------------------------------------------------
     # Rebuild through the queue's wholesale-restore hook so the SoA
@@ -606,12 +599,12 @@ def restore(state: SimState, factory: Callable[[], Any],
             f"supported (only 'vector')"
         )
     mirror = sim_obj.power_vector
-    mirror.refresh_all()  # re-read restored node fields into the SoA
     mirror.utilization[:] = power["utilization"]
     mirror.sensitivity[:] = power["sensitivity"]
     mirror._watts[:] = power["watts"]
     mirror._total = power["total"]
-    mirror._dirty = set(int(r) for r in power["dirty"])
+    store.dirty.clear()
+    store.dirty.update(int(r) for r in power["dirty"])
     mirror._all_dirty = power["all_dirty"]
 
     # --- executions --------------------------------------------------

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Machine, MachineSpec
+from repro.cluster import Machine, MachineSpec, NodeState
 from repro.core import (
     ConservativeBackfillScheduler,
     EasyBackfillScheduler,
@@ -80,7 +80,7 @@ def _build_workload(seed: int, depth: int, busy_fraction: float):
         )
         job.start(0.0, ids)
         for nid in ids:
-            machine.node(nid).assign(job.job_id, 0.0)
+            machine.node(nid).transition(NodeState.BUSY, 0.0)
         end = float(rng.choice(_WALL_GRID))
         running.append(RunningJobInfo(job, tuple(ids), end))
         j += 1

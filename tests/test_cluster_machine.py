@@ -42,11 +42,11 @@ class TestMachine:
 
     def test_utilization_counts_busy(self, small_machine):
         assert small_machine.utilization() == 0.0
-        small_machine.node(0).assign("j", 0.0)
+        small_machine.node(0).transition(NodeState.BUSY, 0.0)
         assert small_machine.utilization() == pytest.approx(1 / 16)
 
     def test_available_nodes(self, small_machine):
-        small_machine.node(0).assign("j", 0.0)
+        small_machine.node(0).transition(NodeState.BUSY, 0.0)
         assert len(small_machine.available_nodes) == 15
 
     def test_peak_and_idle_power(self, small_machine):

@@ -26,7 +26,7 @@ from repro.core import (
 )
 from repro.core.backfill import release_curve
 from repro.core.scheduler import RunningJobInfo
-from repro.cluster import Machine, MachineSpec
+from repro.cluster import Machine, MachineSpec, NodeState
 from repro.errors import SchedulingError
 from repro.power import kernels
 from tests.backfill_oracles import (
@@ -117,7 +117,7 @@ class TestEasyMergedProfileShadow:
         job = make_job(job_id="r0", nodes=len(node_ids), work=end, walltime=end)
         job.start(0.0, list(node_ids))
         for nid in node_ids:
-            machine.node(nid).assign("r0", 0.0)
+            machine.node(nid).transition(NodeState.BUSY, 0.0)
         return RunningJobInfo(job, tuple(node_ids), end)
 
     def test_filler_ending_at_merged_shadow_starts(self):
@@ -161,7 +161,7 @@ class TestEasyMergedProfileShadow:
         job = make_job(job_id="r0", nodes=10, walltime=1000.0)
         job.start(0.0, list(range(10)))
         for nid in range(10):
-            machine.node(nid).assign("r0", 0.0)
+            machine.node(nid).transition(NodeState.BUSY, 0.0)
         stale = RunningJobInfo(job, tuple(range(10)), -50.0)
         pending = [
             make_job(job_id="head", nodes=12, walltime=500.0),

@@ -49,7 +49,7 @@ class TestPowerStateControl:
 
     def test_bulk_operations_skip_wrong_states(self, rm_setup):
         sim, rm, machine, _, _ = rm_setup
-        machine.node(0).assign("j", 0.0)
+        machine.node(0).transition(NodeState.BUSY, 0.0)
         stopped = rm.shutdown_nodes(machine.nodes)
         assert stopped == 15  # the busy node is skipped
         sim.run()
@@ -58,7 +58,7 @@ class TestPowerStateControl:
 
     def test_cannot_shutdown_busy(self, rm_setup):
         _, rm, machine, _, _ = rm_setup
-        machine.node(0).assign("j", 0.0)
+        machine.node(0).transition(NodeState.BUSY, 0.0)
         with pytest.raises(NodeStateError):
             rm.shutdown_node(machine.node(0))
 
@@ -75,7 +75,7 @@ class TestMaintenance:
 
     def test_drain_busy_raises(self, rm_setup):
         _, rm, machine, _, _ = rm_setup
-        machine.node(0).assign("j", 0.0)
+        machine.node(0).transition(NodeState.BUSY, 0.0)
         with pytest.raises(NodeStateError):
             rm.drain_node(machine.node(0))
 

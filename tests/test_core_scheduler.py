@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster import NodeState
 from repro.core import (
     ConservativeBackfillScheduler,
     EasyBackfillScheduler,
@@ -33,7 +34,7 @@ def occupy(machine, node_ids, job_id="running", end=1000.0):
     job = make_job(job_id=job_id, nodes=len(node_ids), work=end, walltime=end)
     job.start(0.0, list(node_ids))
     for nid in node_ids:
-        machine.node(nid).assign(job_id, 0.0)
+        machine.node(nid).transition(NodeState.BUSY, 0.0)
     return RunningJobInfo(job, tuple(node_ids), end)
 
 

@@ -381,11 +381,12 @@ class TestPolicyHooks:
 class TestCollectable:
     """A dropped simulation must be reclaimable by the cyclic GC.
 
-    Every node's ``power_listener`` is a bound method of its simulation,
-    so simulation and machine form a reference cycle.  That is fine as
-    long as every link is visible to the collector; a node held in a
-    numpy object array is not, and would pin the whole simulation (and
-    its machine, mirror and event heap) for the life of the process.
+    The simulation holds reference cycles of its own (policies point
+    back at it, pending events hold its bound methods).  That is fine
+    as long as every link is visible to the collector; an object held
+    in a numpy object array is not, and would pin the whole simulation
+    (and its machine, node store, mirror and event heap) for the life
+    of the process.
     """
 
     @pytest.mark.parametrize("slug", ["kaust", "riken"])

@@ -600,7 +600,7 @@ class TestResidentSites:
             for report, live in self._chain(config, epoch_hours * HOUR,
                                             epochs):
                 mirror = live.power_vector
-                dirty += bool(mirror._dirty) or mirror._all_dirty
+                dirty += bool(live.machine.store.dirty) or mirror._all_dirty
                 assert sim_fingerprint(live) == report.fingerprint
         finally:
             site_module.release_live_sites()

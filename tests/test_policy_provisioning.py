@@ -90,8 +90,8 @@ class TestIdleShutdown:
         sim.prepare()
         # Nodes 0-3 go idle at t=50; the other 12 are idle since t=0.
         for node in machine.nodes[:4]:
-            node.assign("warm", 0.0)
-            node.release(50.0)
+            node.transition(NodeState.BUSY, 0.0)
+            node.transition(NodeState.IDLE, 50.0)
         sim.run(until=400.0)
         # Surplus = 12 (16 idle - min_spare 4): the twelve t=0 nodes
         # are the oldest candidates and shut down first, keeping the

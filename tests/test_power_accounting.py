@@ -1,11 +1,11 @@
 """Incremental machine power accounting vs the ground-truth full sum.
 
 ``ClusterSimulation.machine_power()`` maintains a running watts total
-updated by per-node deltas (nodes mark themselves dirty through their
-``power_listener`` hook on state/cap/frequency changes; the simulation
-marks job (un)binding itself).  Every test here mutates the machine
-through a different control surface and asserts the accumulator equals
-a freshly computed all-nodes sum.
+updated by per-row deltas: every writer of the machine's node store
+(transitions, caps, frequencies, plain field writes) and every job
+(un)binding marks its rows dirty, and the fold consumes them.  Every
+test here mutates the machine through a different control surface and
+asserts the accumulator equals a freshly computed all-nodes sum.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ class TestIncrementalPowerAccounting:
         assert csim.machine_power() == pytest.approx(full_sum(csim))
 
     def test_out_of_band_capmc_tracked(self):
-        # Capmc writes node caps directly, bypassing the RM — the node
-        # hook must still catch it.
+        # Capmc writes node caps directly, bypassing the RM — the store
+        # still marks the rows dirty.
         csim = fresh()
         csim.machine_power()
         capmc = Capmc(csim.machine, csim.power_model)
@@ -105,17 +105,19 @@ class TestIncrementalPowerAccounting:
         csim.run()
         assert csim.machine_power() == pytest.approx(full_sum(csim))
 
-    def test_invalidate_power_cache_after_oob_mutation(self):
+    def test_out_of_band_field_writes_tracked(self):
         csim = fresh()
         before = csim.machine_power()
-        # Mutating power-model inputs directly (no hook fires) leaves
-        # the accumulator stale until explicitly invalidated.
+        # A plain write of a power-model input through a node view is a
+        # store write: it marks its row dirty, so no invalidation step
+        # exists or is needed.
         for node in csim.machine.nodes:
             node.idle_power = node.idle_power * 1.5
-        assert csim.machine_power() == pytest.approx(before)  # stale
-        csim.invalidate_power_cache()
         assert csim.machine_power() == pytest.approx(full_sum(csim))
         assert csim.machine_power() == pytest.approx(before * 1.5)
+        csim.machine.nodes[3].variability = 1.2
+        csim.machine.nodes[4].state = NodeState.DOWN
+        assert csim.machine_power() == pytest.approx(full_sum(csim))
 
     def test_dirty_order_independence(self):
         # Same mutations in different orders must converge to the same

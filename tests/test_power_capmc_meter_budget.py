@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster import NodeState
 from repro.errors import BudgetError, PowerCapError
 from repro.power import Capmc, PowerBudget, PowerMeter
 from repro.power.pue import FacilityPowerModel
@@ -41,7 +42,7 @@ class TestCapmc:
         assert capmc.get_power() == pytest.approx(idle)
 
     def test_node_status_groups(self, small_machine):
-        small_machine.node(0).assign("j", 0.0)
+        small_machine.node(0).transition(NodeState.BUSY, 0.0)
         capmc = Capmc(small_machine)
         status = capmc.node_status()
         assert 0 in status["busy"]

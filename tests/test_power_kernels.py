@@ -23,13 +23,13 @@ from tests.backfill_oracles import (
 
 
 def random_mirror(seed: int, n: int = 96) -> VectorPowerMirror:
-    """A mirror whose SoA columns cover every kernel branch: all six
+    """A mirror whose columns cover every kernel branch: all six
     states, finite and +inf caps (including caps below idle power),
     heterogeneous variability, clamped frequencies, zero utilization.
 
-    The randomness goes into the nodes, which the mirror reads when it
-    is built; utilization has no node field (it comes from the bound
-    job), so it is written into the mirror column directly.
+    The randomness goes into the nodes, whose columns the mirror reads;
+    utilization has no node field (it comes from the bound job), so it
+    is written into the mirror column directly.
     """
     rng = np.random.default_rng(seed)
     machine = Machine(MachineSpec(name="k", nodes=n, nodes_per_cabinet=8))
@@ -52,12 +52,13 @@ def random_mirror(seed: int, n: int = 96) -> VectorPowerMirror:
         rng.random(n) < 0.2, 0.0, rng.uniform(0.2, 1.0, size=n)
     )
     # The branches are really there.
-    assert set(mirror.state_code.tolist()) == set(STATE_CODES.values())
-    capped = np.isfinite(mirror.power_cap)
+    store = machine.store
+    assert set(store.state_code.tolist()) == set(STATE_CODES.values())
+    capped = np.isfinite(store.power_cap)
     assert capped.any() and not capped.all()
-    assert (mirror.power_cap < mirror.idle_power).any()
-    assert (mirror.variability != 1.0).all()
-    assert (mirror.frequency < mirror.max_frequency).any()
+    assert (store.power_cap < store.idle_power).any()
+    assert (store.variability != 1.0).all()
+    assert (store.frequency < store.max_frequency).any()
     assert (mirror.utilization == 0.0).any()
     return mirror
 
@@ -67,16 +68,17 @@ class TestNodeWatts:
     def test_reference_matches_operating_points(self, seed):
         mirror = random_mirror(seed)
         model = mirror.model
+        store = mirror.store
         got = kernels.node_watts_np(
-            mirror.state_code,
-            mirror.idle_power,
-            mirror.max_power,
-            mirror.off_power,
-            mirror.variability,
-            mirror.frequency,
-            mirror.min_frequency,
-            mirror.max_frequency,
-            mirror.power_cap,
+            store.state_code,
+            store.idle_power,
+            store.max_power,
+            store.off_power,
+            store.variability,
+            store.frequency,
+            store.min_frequency,
+            store.max_frequency,
+            store.power_cap,
             mirror.utilization,
             model.alpha,
             model.boot_power_fraction,
@@ -140,19 +142,20 @@ class TestApplyTransition:
     def test_scatters_in_place(self):
         machine = Machine(MachineSpec(name="t", nodes=8, nodes_per_cabinet=4))
         mirror = VectorPowerMirror(machine, NodePowerModel())
-        state, idle_since = mirror.state_code, mirror.idle_since
+        store = machine.store
+        state, idle_since = store.state_code, store.idle_since
         busy, idle = STATE_CODES[NodeState.BUSY], STATE_CODES[NodeState.IDLE]
         rows = np.array([1, 4, 6], dtype=np.intp)
-        mirror.transition_rows(rows, busy, 10.0)
-        assert mirror.state_code is state  # scattered, not reallocated
+        store.transition(rows, NodeState.BUSY, 10.0)
+        assert store.state_code is state  # scattered, not reallocated
         assert state.tolist() == [idle, busy, idle, idle, busy, idle, busy, idle]
         # Transitions move state only; execution membership stays put.
         assert (mirror.exec_slot == -1).all()
         assert np.isnan(idle_since[rows]).all()
-        assert mirror.count_in_state(busy) == 3
-        mirror.transition_rows(rows, idle, 42.0)
+        assert store.counts[busy] == 3
+        store.transition(rows, NodeState.IDLE, 42.0)
         assert state[rows].tolist() == [idle] * 3
         assert idle_since[rows].tolist() == [42.0, 42.0, 42.0]
         assert (mirror.exec_slot == -1).all()
-        assert mirror.count_in_state(busy) == 0
+        assert store.counts[busy] == 0
 

@@ -32,27 +32,27 @@ class TestStatePower:
         assert watts == pytest.approx(node.off_power + 0.6 * 300.0)
 
     def test_busy_full_tilt(self, node, power_model):
-        node.assign("j", 0.0)
+        node.transition(NodeState.BUSY, 0.0)
         sample = power_model.operating_point(node, utilization=1.0, sensitivity=1.0)
         assert sample.watts == pytest.approx(300.0)
         assert sample.speed == pytest.approx(1.0)
         assert not sample.cap_violated
 
     def test_busy_scales_with_utilization(self, node, power_model):
-        node.assign("j", 0.0)
+        node.transition(NodeState.BUSY, 0.0)
         half = power_model.operating_point(node, utilization=0.5).watts
         assert half == pytest.approx(100.0 + 0.5 * 200.0)
 
     def test_variability_scales_dynamic_part(self, node, power_model):
         node.variability = 1.1
-        node.assign("j", 0.0)
+        node.transition(NodeState.BUSY, 0.0)
         watts = power_model.operating_point(node, utilization=1.0).watts
         assert watts == pytest.approx(100.0 + 220.0)
 
 
 class TestDvfsResponse:
     def test_lower_frequency_lower_power(self, node, power_model):
-        node.assign("j", 0.0)
+        node.transition(NodeState.BUSY, 0.0)
         node.set_frequency(1.0e9)  # half of max
         sample = power_model.operating_point(node, 1.0, 1.0)
         # dynamic = 200 * (0.5)^2 = 50
@@ -60,13 +60,13 @@ class TestDvfsResponse:
         assert sample.speed == pytest.approx(0.5)
 
     def test_insensitive_phase_keeps_speed(self, node, power_model):
-        node.assign("j", 0.0)
+        node.transition(NodeState.BUSY, 0.0)
         node.set_frequency(1.0e9)
         sample = power_model.operating_point(node, 1.0, sensitivity=0.0)
         assert sample.speed == pytest.approx(1.0)
 
     def test_alpha_controls_curvature(self, node):
-        node.assign("j", 0.0)
+        node.transition(NodeState.BUSY, 0.0)
         node.set_frequency(1.0e9)
         linear = NodePowerModel(alpha=1.0).operating_point(node, 1.0).watts
         cubic = NodePowerModel(alpha=3.0).operating_point(node, 1.0).watts
@@ -79,7 +79,7 @@ class TestDvfsResponse:
 
 class TestCapping:
     def test_cap_enforced_by_frequency_clamp(self, node, power_model):
-        node.assign("j", 0.0)
+        node.transition(NodeState.BUSY, 0.0)
         node.set_power_cap(200.0)
         sample = power_model.operating_point(node, 1.0, 1.0)
         assert sample.watts <= 200.0 + 1e-9
@@ -87,20 +87,20 @@ class TestCapping:
         assert not sample.cap_violated
 
     def test_cap_above_draw_is_inactive(self, node, power_model):
-        node.assign("j", 0.0)
+        node.transition(NodeState.BUSY, 0.0)
         node.set_power_cap(290.0)
         sample = power_model.operating_point(node, utilization=0.3)
         assert sample.frequency_ratio == pytest.approx(1.0)
 
     def test_unreachable_cap_flags_violation(self, node, power_model):
-        node.assign("j", 0.0)
+        node.transition(NodeState.BUSY, 0.0)
         node.set_power_cap(110.0)  # needs f below f_min
         sample = power_model.operating_point(node, 1.0, 1.0)
         assert sample.cap_violated
         assert sample.watts > 110.0
 
     def test_dvfs_setting_and_cap_compose(self, node, power_model):
-        node.assign("j", 0.0)
+        node.transition(NodeState.BUSY, 0.0)
         node.set_frequency(1.2e9)
         node.set_power_cap(290.0)  # cap looser than the DVFS setting
         sample = power_model.operating_point(node, 1.0, 1.0)
@@ -131,7 +131,7 @@ class TestHelpers:
         assert power_model.speed_at_ratio(0.0, 1.0) > 0.0  # never zero
 
     def test_power_monotone_in_frequency(self, node, power_model):
-        node.assign("j", 0.0)
+        node.transition(NodeState.BUSY, 0.0)
         ratios = [0.5, 0.6, 0.8, 1.0]
         powers = [power_model.power_at_ratio(node, r, 1.0) for r in ratios]
         assert powers == sorted(powers)

@@ -171,10 +171,10 @@ class TestKernelEquivalence:
         machine = Machine(MachineSpec(name="m", nodes=4))
         mirror = VectorPowerMirror(machine, NodePowerModel())
         rows = np.asarray([0, 2])
-        mirror.bind(rows, utilization=1.7, sensitivity=-0.3)
+        mirror.bind_execution(rows, 0, utilization=1.7, sensitivity=-0.3)
         assert mirror.utilization[0] == 1.0
         assert mirror.sensitivity[2] == 0.0
-        mirror.unbind(rows)
+        mirror.unbind_execution(rows)
         assert mirror.utilization[0] == 1.0
         assert mirror.sensitivity[2] == 1.0
 
@@ -225,7 +225,7 @@ class TestMirrorAccounting:
 
         def cache():
             return (mirror._watts.copy(), mirror._total,
-                    set(mirror._dirty), mirror._all_dirty)
+                    set(machine.store.dirty), mirror._all_dirty)
 
         def same(a, b):
             return (np.array_equal(a[0], b[0]) and a[1:] == b[1:])
@@ -311,7 +311,8 @@ class TestEndToEndEquivalence:
 
 
 class TestLifecycleArrays:
-    """The mirror's lifecycle arrays track the node lifecycle push-sync."""
+    """The store's lifecycle columns and the mirror's execution slots
+    track the node lifecycle."""
 
     def _sim(self, n=16):
         machine = Machine(MachineSpec(name="m", nodes=n, nodes_per_cabinet=8))
@@ -324,13 +325,14 @@ class TestLifecycleArrays:
         csim.prepare()
         csim.sim.run(until=100.0)
         mirror = csim.power_vector
+        store = machine.store
         from repro.power.vector import STATE_CODES
         for row, node in enumerate(machine.nodes):
-            assert mirror.state_code[row] == STATE_CODES[node.state]
+            assert store.state_code[row] == STATE_CODES[node.state]
             if node.idle_since is None:
-                assert np.isnan(mirror.idle_since[row])
+                assert np.isnan(store.idle_since[row])
             else:
-                assert mirror.idle_since[row] == node.idle_since
+                assert store.idle_since[row] == node.idle_since
             # Execution membership is SoA on this backend: exec_slot
             # derives from the simulation's execution table, not from
             # per-node running_job stamps.
@@ -347,11 +349,10 @@ class TestLifecycleArrays:
         csim.sim.run(until=50.0)
         # Stagger idle_since: re-idle some nodes at distinct times.
         for i, node in enumerate(machine.nodes[:6]):
-            node.assign("tmp", csim.sim.now)
-            node.release(csim.sim.now + 0.0)
-        mirror = csim.power_vector
+            node.transition(NodeState.BUSY, csim.sim.now)
+            node.transition(NodeState.IDLE, csim.sim.now + 0.0)
         now = csim.sim.now + 500.0
-        rows = mirror.idle_candidate_rows(now, 100.0)
+        rows = machine.store.idle_candidate_rows(now, 100.0)
         scalar = sorted(
             (n for n in machine.nodes
              if n.state is NodeState.IDLE and n.idle_since is not None
@@ -366,18 +367,17 @@ class TestLifecycleArrays:
         csim, machine = self._sim()
         rm = csim.rm
         rm.shutdown_nodes(machine.nodes[:4])
-        mirror = csim.power_vector
-        rows = mirror.idle_candidate_rows(1e9, 0.0)
+        store = machine.store
+        rows = store.idle_candidate_rows(1e9, 0.0)
         assert all(machine.nodes[r].state is NodeState.IDLE for r in rows)
-        assert not np.isnan(mirror.idle_since[rows]).any()
+        assert not np.isnan(store.idle_since[rows]).any()
 
     def test_t0_idle_node_is_a_candidate(self):
         # Regression companion to the `idle_since or 0.0` fix: a node
         # idle since t=0 has a real timestamp and must rank *first*
         # (longest idle), not be confused with "no timestamp".
         csim, machine = self._sim(n=4)
-        mirror = csim.power_vector
-        rows = mirror.idle_candidate_rows(10.0, 5.0)
+        rows = machine.store.idle_candidate_rows(10.0, 5.0)
         assert list(rows) == [0, 1, 2, 3]
 
     def test_off_rows_sorted_by_node_id(self):
@@ -386,7 +386,7 @@ class TestLifecycleArrays:
                                 machine.nodes[5]])
         # Complete the shutdowns.
         csim.sim.run(until=1e4)
-        rows = csim.power_vector.off_rows()
+        rows = machine.store.rows_in(NodeState.OFF)
         assert [machine.nodes[r].node_id for r in rows] == sorted(
             machine.nodes[r].node_id for r in rows
         )
@@ -401,6 +401,6 @@ class TestLifecycleArrays:
         csim, machine = self._sim()
         csim.rm.shutdown_nodes(machine.nodes[:3])
         csim.sim.run(until=1e4)
-        mirror = csim.power_vector
-        assert mirror.count_in_state(STATE_CODES[NS.OFF]) == 3
-        assert mirror.count_in_state(STATE_CODES[NS.IDLE]) == 13
+        counts = machine.store.counts
+        assert counts[STATE_CODES[NS.OFF]] == 3
+        assert counts[STATE_CODES[NS.IDLE]] == 13

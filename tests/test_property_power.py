@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Node
+from repro.cluster import Node, NodeState
 from repro.errors import BudgetError
 from repro.power import NodePowerModel, PowerBudget
 
@@ -29,7 +29,7 @@ class TestPowerModelProperties:
            st.floats(min_value=0.5, max_value=3.0))
     def test_busy_power_within_physical_range(self, params, util, sens, alpha):
         node = build_node(params)
-        node.assign("j", 0.0)
+        node.transition(NodeState.BUSY, 0.0)
         model = NodePowerModel(alpha=alpha)
         sample = model.operating_point(node, util, sens)
         assert node.idle_power - 1e-9 <= sample.watts
@@ -40,7 +40,7 @@ class TestPowerModelProperties:
     @given(node_params, st.floats(min_value=0.0, max_value=1.0))
     def test_power_monotone_in_utilization(self, params, sens):
         node = build_node(params)
-        node.assign("j", 0.0)
+        node.transition(NodeState.BUSY, 0.0)
         model = NodePowerModel()
         watts = [model.operating_point(node, u, sens).watts
                  for u in (0.0, 0.25, 0.5, 0.75, 1.0)]
@@ -51,7 +51,7 @@ class TestPowerModelProperties:
            st.floats(min_value=0.0, max_value=1.0))
     def test_cap_respected_or_flagged(self, params, util, cap_frac):
         node = build_node(params)
-        node.assign("j", 0.0)
+        node.transition(NodeState.BUSY, 0.0)
         cap = node.idle_power + cap_frac * (node.max_power - node.idle_power)
         node.set_power_cap(cap)
         model = NodePowerModel()
@@ -61,7 +61,7 @@ class TestPowerModelProperties:
     @given(node_params, st.floats(min_value=0.0, max_value=1.0))
     def test_speed_monotone_in_frequency(self, params, sens):
         node = build_node(params)
-        node.assign("j", 0.0)
+        node.transition(NodeState.BUSY, 0.0)
         model = NodePowerModel()
         speeds = []
         for frac in (0.0, 0.3, 0.6, 1.0):
