@@ -2,10 +2,10 @@
 
 The tentpole claim of the SoA power rewrite: a whole-machine power
 re-sum — what every budget/capping control loop pays per tick — runs
-as one numpy kernel over the mirror arrays instead of N Python
+as one numpy kernel over the store columns instead of N Python
 ``operating_point`` calls, and is ≥10× faster at 16k nodes.  The
-"scalar" side is timed here as that per-node loop over the
-:class:`~repro.power.model.NodePowerModel` spec, and the two are first
+"scalar" side is timed here as that per-node loop over the scalar spec
+(the test oracle ``tests/power_oracles.py``), and the two are first
 asserted to agree on the benchmarked machine itself (on top of the
 randomized equivalence sweeps in ``tests/test_power_vector.py``).
 
@@ -33,6 +33,8 @@ import numpy as np
 
 from repro.cluster import NodeState
 from repro.core import ClusterSimulation, FcfsScheduler
+
+from tests.power_oracles import simulation_operating_point
 
 from .conftest import OUT_DIR, bench_machine, write_artifact
 
@@ -95,7 +97,7 @@ def test_bench_power_full_resum(benchmark, artifact_dir):
             watts = {}
             total = 0.0
             for node in vector.machine.nodes:
-                w = vector._node_operating_point(node).watts
+                w = simulation_operating_point(vector, node).watts
                 watts[node.node_id] = w
                 total += w
             return total
@@ -155,7 +157,7 @@ def test_bench_power_reconfigure(artifact_dir):
     csim.machine_power()  # settle the cache
     slice_nodes = csim.machine.nodes[:width]
     caps = iter([200.0, 300.0] * 50)
-    spec_watts = {node.node_id: csim._node_operating_point(node).watts
+    spec_watts = {node.node_id: simulation_operating_point(csim, node).watts
                   for node in csim.machine.nodes}
     spec_total = sum(spec_watts.values())
 
@@ -164,7 +166,7 @@ def test_bench_power_reconfigure(artifact_dir):
         # re-capped nodes in id order and fold their deltas.
         nonlocal spec_total
         for node in sorted(slice_nodes, key=lambda nd: nd.node_id):
-            w = csim._node_operating_point(node).watts
+            w = simulation_operating_point(csim, node).watts
             spec_total += w - spec_watts[node.node_id]
             spec_watts[node.node_id] = w
         return spec_total

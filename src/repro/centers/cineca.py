@@ -40,9 +40,8 @@ def build_simulation(
     )
     site = standard_site("cineca", machine, region="Europe")
     budget = machine.peak_power * budget_fraction
-    node = machine.nodes[0]
     predictor = TagHistoryPredictor(
-        default_per_node_watts=node.max_power, ewma=0.3
+        default_per_node_watts=machine.spec.max_power, ewma=0.3
     )
     admission = PowerAwareAdmissionPolicy(
         budget_watts=budget,

@@ -91,6 +91,8 @@ COLUMNS = (
     "cores", "memory_gb",
 )
 _FLOAT_COLUMNS = tuple(c for c in COLUMNS if c not in ("state_code", "cores"))
+#: Columns the nominal job price is read from.
+_PRICED = ("idle_power", "max_power")
 
 
 def _rows_list(rows) -> List[int]:
@@ -107,12 +109,22 @@ class NodeStore:
     methods below are the only writers, and each marks its rows dirty.
     Error messages name node ``id_base + row``.
 
+    ``nominal`` is the ``(idle, max - idle)`` watts pair every unplaced
+    job is priced from (:meth:`~repro.power.vector.VectorPowerMirror.job_power`),
+    taken from ``nominal_row``: the first row with the largest dynamic
+    span, so a heterogeneous machine is priced from its hungriest spec.
+    Both are Python numbers (numpy scalars would leak into state bytes)
+    and are recomputed whenever ``idle_power`` or ``max_power`` is
+    written.
+
     *columns* sets columns at construction: each value (a scalar or one
     value per row) is broadcast over the rows.  Unset columns describe
     a fresh idle node: uncapped, variability 1, timestamps 0.
     """
 
-    __slots__ = COLUMNS + ("counts", "dirty", "id_base", "_idle")
+    __slots__ = COLUMNS + (
+        "counts", "dirty", "id_base", "_idle", "nominal", "nominal_row",
+    )
 
     def __init__(self, rows: int, id_base: int = 0, **columns) -> None:
         self.state_code = np.full(rows, _IDLE, dtype=np.int8)
@@ -126,6 +138,7 @@ class NodeStore:
         self.id_base = int(id_base)
         self.dirty: set = set()
         self.recount()
+        self._price()
 
     def __len__(self) -> int:
         return len(self.state_code)
@@ -136,6 +149,13 @@ class NodeStore:
             self.state_code, minlength=len(STATES)
         ).tolist()
         self._idle = None
+
+    def _price(self) -> None:
+        """Recompute :attr:`nominal` and :attr:`nominal_row`."""
+        span = self.max_power - self.idle_power
+        row = int(np.argmax(span))
+        self.nominal_row = row
+        self.nominal = (self.idle_power.item(row), span.item(row))
 
     def idle_mask(self) -> np.ndarray:
         """``state_code == IDLE``: the rows that can take a job now.
@@ -223,6 +243,8 @@ class NodeStore:
         getattr(self, name)[ids] = values
         if name == "state_code":
             self.recount()
+        elif name in _PRICED:
+            self._price()
         self.dirty.update(ids)
 
     def load(self, **columns) -> None:
@@ -231,6 +253,8 @@ class NodeStore:
         for name, values in columns.items():
             getattr(self, name)[:] = values
         self.recount()
+        if not columns.keys().isdisjoint(_PRICED):
+            self._price()
         self.dirty.update(range(len(self)))
 
     # ------------------------------------------------------------------

@@ -79,12 +79,10 @@ class BudgetCoordinator:
     def _demand(self, sl: MachineSlice) -> float:
         simulation = sl.simulation
         draw = simulation.machine_power()
-        node = simulation.machine.nodes[0]
-        per_node = node.max_power - node.idle_power
         backlog = sum(
             job.nodes for job in simulation.queue.pending()[:16]
         )
-        return draw + backlog * per_node
+        return draw + simulation.power_vector.job_power(backlog, 1.0)
 
     def reallocate(self, now: float) -> Dict[str, float]:
         """Re-divide the site budget; returns machine -> new watts.

@@ -331,19 +331,6 @@ class ClusterSimulation:
             self._free_slots.append(slot)
             execution.slot = -1
 
-    def _node_operating_point(self, node: Node):
-        """Spec operating point of one node: ``NodePowerModel`` with the
-        bound job's intensity/sensitivity.  For per-node readers
-        (thermal forecasts, group meters) that need the scalar model's
-        floats rather than the mirror's vectorized ones."""
-        execution = self.execution_on(node.node_id)
-        if execution is not None:
-            job = execution.job
-            return self.power_model.operating_point(
-                node, job.mean_power_intensity, job.mean_sensitivity
-            )
-        return self.power_model.operating_point(node)
-
     def machine_power(self) -> float:
         """Instantaneous IT power of the machine, watts.
 

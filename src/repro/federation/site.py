@@ -120,12 +120,11 @@ def _demand_watts(sim_obj) -> float:
     instead of folding its dirty rows: a live site must stay on the
     state its shipped fingerprint names.
     """
-    node = sim_obj.machine.nodes[0]
-    per_node = node.max_power - node.idle_power
+    mirror = sim_obj.power_vector
     backlog = sum(
         job.nodes for job in sim_obj.queue.pending()[:BACKLOG_LOOKAHEAD]
     )
-    return float(sim_obj.power_vector.peek_watts() + backlog * per_node)
+    return float(mirror.peek_watts() + mirror.job_power(backlog, 1.0))
 
 
 def _take_live(task: EpochTask) -> Optional[ClusterSimulation]:

@@ -49,8 +49,7 @@ class DemandResponsePolicy(Policy):
 
     # ------------------------------------------------------------------
     def _job_delta(self, job: Job) -> float:
-        node = self.simulation.machine.nodes[0]
-        return job.nodes * (node.max_power - node.idle_power) * job.mean_power_intensity
+        return self.simulation.power_vector.job_power(job.nodes, job.mean_power_intensity)
 
     def admit(self, job: Job, now: float) -> bool:
         event = self.schedule.active_event(now)

@@ -65,22 +65,24 @@ class DvfsBudgetPolicy(Policy):
     def _pick_frequency(self, job: Job, now: float) -> Optional[float]:
         """Highest ladder frequency fitting the headroom, or None."""
         headroom = self.budget_watts - self.simulation.machine_power()
-        node = self.simulation.machine.nodes[0]
-        mirror = self.simulation.power_vector
+        store = self.simulation.machine.store
+        row = store.nominal_row
+        idle, _ = store.nominal
+        max_f = store.max_frequency.item(row)
         # Evaluate the whole ladder in one kernel (descending, so argmax
-        # picks the highest admissible frequency) against the reference
-        # node's row (its id).
+        # picks the highest admissible frequency) on the store's
+        # nominal row, the row every unplaced job is priced from.
         freqs = np.asarray(self.ladder.frequencies, dtype=float)[::-1]
-        rows = np.full(freqs.shape, node.node_id, dtype=np.intp)
-        per_node = mirror.power_at_ratio(
-            rows, freqs / node.max_frequency, job.mean_power_intensity
+        rows = np.full(freqs.shape, row, dtype=np.intp)
+        per_node = self.simulation.power_vector.power_at_ratio(
+            rows, freqs / max_f, job.mean_power_intensity
         )
-        draws = job.nodes * (per_node - node.idle_power)
+        draws = job.nodes * (per_node - idle)
         speeds = np.maximum(
             1e-9,
             1.0
             - min(1.0, max(0.0, job.mean_sensitivity))
-            * (1.0 - np.clip(freqs / node.max_frequency, 0.0, 1.0)),
+            * (1.0 - np.clip(freqs / max_f, 0.0, 1.0)),
         )
         admissible = (draws <= headroom) & (speeds >= self.min_speed)
         if not admissible.any():

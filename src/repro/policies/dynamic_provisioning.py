@@ -72,11 +72,7 @@ class DynamicProvisioningPolicy(Policy):
 
     def _job_power_delta(self, job: Job) -> float:
         """Worst-case extra power of starting *job* (idle -> busy)."""
-        machine = self.simulation.machine
-        # Use the machine's average node as the estimate basis.
-        sample = machine.nodes[0]
-        dyn = (sample.max_power - sample.idle_power) * job.mean_power_intensity
-        return job.nodes * dyn
+        return self.simulation.power_vector.job_power(job.nodes, job.mean_power_intensity)
 
     # ------------------------------------------------------------------
     def admit(self, job: Job, now: float) -> bool:
@@ -149,10 +145,10 @@ class DynamicProvisioningPolicy(Policy):
             booting = counts[STATE_CODES[NodeState.BOOTING]]
             deficit = demand - idle_count - booting
             if deficit > 0:
-                sample = machine.nodes[0]
+                idle_watts, _ = machine.store.nominal
                 instant = self.simulation.machine_power()
                 budget = self.cap_watts * self.headroom_fraction - instant
-                affordable = int(budget // max(sample.idle_power, 1.0))
+                affordable = int(budget // max(idle_watts, 1.0))
                 if affordable > 0:
                     off = sorted(rm.off_nodes(), key=lambda n: n.node_id)
                     rm.boot_nodes(off[: min(deficit, affordable)])

@@ -31,12 +31,9 @@ def temperature_aware_estimator(policy: "EmergencyPowerPolicy") -> Callable[[Job
     """
 
     def estimate(job: Job, now: float) -> float:
-        machine = policy.simulation.machine
-        sample = machine.nodes[0]
-        per_node = sample.idle_power + (
-            (sample.max_power - sample.idle_power) * job.mean_power_intensity
+        nominal = policy.simulation.power_vector.job_power(
+            job.nodes, job.mean_power_intensity, full=True
         )
-        nominal = job.nodes * per_node
         site = policy.simulation.site
         if site is not None:
             ambient = site.ambient.temperature(now)
@@ -102,7 +99,7 @@ class EmergencyPowerPolicy(Policy):
         current = self.simulation.machine_power()
         estimate = self.estimate_job_power(job, now)
         # The job's nodes currently draw idle power; count the delta.
-        idle_already = job.nodes * self.simulation.machine.nodes[0].idle_power
+        idle_already = self.simulation.power_vector.job_power(job.nodes, 0.0, full=True)
         if current + max(0.0, estimate - idle_already) > self.limit_watts:
             self.vetoes += 1
             return False

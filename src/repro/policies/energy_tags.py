@@ -106,14 +106,8 @@ class EnergyTagPolicy(Policy):
     # ------------------------------------------------------------------
     # Frequency selection
     # ------------------------------------------------------------------
-    def _objective(
-        self, node: Node, sensitivity: float, intensity: float, freq: float
-    ) -> float:
-        """Scalarized objective at *freq* (lower is better)."""
-        model = self.simulation.power_model
-        ratio = freq / node.max_frequency
-        power = model.power_at_ratio(node, ratio, intensity)
-        speed = model.speed_at_ratio(ratio, sensitivity)
+    def _objective(self, power: float, speed: float) -> float:
+        """Scalarized objective of one ladder point (lower is better)."""
         time_factor = 1.0 / speed
         energy = power * time_factor  # per unit of work
         if self.goal is SchedulingGoal.BEST_PERFORMANCE:
@@ -123,15 +117,22 @@ class EnergyTagPolicy(Policy):
         return energy * time_factor  # EDP
 
     def best_frequency(self, sensitivity: float, intensity: float) -> float:
-        """The ladder frequency minimizing the goal for this response."""
-        node = self.simulation.machine.nodes[0]
-        scores = np.array(
-            [
-                self._objective(node, sensitivity, intensity, f)
-                for f in self.ladder.frequencies
-            ]
+        """The ladder frequency minimizing the goal for this response,
+        priced on the store's nominal row with the whole ladder in one
+        kernel call."""
+        frequencies = self.ladder.frequencies
+        store = self.simulation.machine.store
+        row = store.nominal_row
+        ratios = np.asarray(frequencies, dtype=float) / store.max_frequency[row]
+        powers = self.simulation.power_vector.power_at_ratio(
+            np.full(ratios.shape, row), ratios, intensity
         )
-        return self.ladder.frequencies[int(np.argmin(scores))]
+        speed_at = self.simulation.power_model.speed_at_ratio
+        scores = [
+            self._objective(power, speed_at(ratio, sensitivity))
+            for power, ratio in zip(powers.tolist(), ratios.tolist())
+        ]
+        return frequencies[int(np.argmin(scores))]
 
     # ------------------------------------------------------------------
     def configure_start(self, job: Job, nodes: Sequence[Node], now: float) -> None:

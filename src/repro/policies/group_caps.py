@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from ..core.epa import FunctionalCategory
 from ..errors import PolicyError
 from .base import Policy
@@ -88,12 +90,11 @@ class GroupCapPolicy(Policy):
         """Measured instantaneous power of *group*, watts."""
         if group not in self.groups:
             raise PolicyError(f"unknown group {group!r}")
-        machine = self.simulation.machine
-        total = 0.0
-        for nid in self.groups[group]:
-            node = machine.node(nid)
-            total += self.simulation._node_operating_point(node).watts
-        return total
+        rows = np.asarray(self.groups[group], dtype=np.intp)
+        # Summed left to right in group order; operating_points reads
+        # the columns without folding the machine total.
+        watts = self.simulation.power_vector.operating_points(rows).watts
+        return sum(watts.tolist(), 0.0)
 
     def epa_components(self) -> List[Tuple[str, FunctionalCategory, str]]:
         return [

@@ -53,11 +53,6 @@ class MoldablePolicy(Policy):
         self.infeasible = 0
 
     # ------------------------------------------------------------------
-    def _estimated_draw(self, nodes: int, intensity: float) -> float:
-        sample = self.simulation.machine.nodes[0]
-        dyn = (sample.max_power - sample.idle_power) * intensity
-        return nodes * dyn
-
     def select_configuration(self, job: Job, now: float) -> Job:
         if not job.moldable or job.start_time is not None:
             return job
@@ -71,7 +66,10 @@ class MoldablePolicy(Policy):
             if cfg.nodes > free:
                 continue
             if headroom is not None:
-                if self._estimated_draw(cfg.nodes, job.mean_power_intensity) > headroom:
+                draw = self.simulation.power_vector.job_power(
+                    cfg.nodes, job.mean_power_intensity
+                )
+                if draw > headroom:
                     continue
             feasible.append(cfg)
         if not feasible:

@@ -65,25 +65,27 @@ class OverprovisioningPolicy(Policy):
         active nodes only — the policy powers the rest off (their
         residual off-power is subtracted from the budget).
         """
-        machine = self.simulation.machine
-        model = self.simulation.power_model
-        node = machine.nodes[0]
-        n_total = len(machine.nodes)
-        f_min_ratio = node.min_frequency / node.max_frequency
-        p_min = model.power_at_ratio(node, f_min_ratio, 1.0)
-        p_max = node.effective_max_power
+        store = self.simulation.machine.store
+        mirror = self.simulation.power_vector
+        speed_at = self.simulation.power_model.speed_at_ratio
+        row = store.nominal_row
+        n_total = len(store)
+        p_min = mirror.power_at_ratio(np.array([row]), 0.0, 1.0).item()
+        p_max = store.max_power.item(row) * store.variability.item(row)
+
+        counts = np.arange(1, n_total + 1)
+        caps = (self.budget_watts - store.off_power[row] * (n_total - counts)) / counts
+        # The scan stops at the first n whose nodes cannot all be
+        # powered even at f_min.
+        short = np.flatnonzero(caps < p_min)
+        k = int(short[0]) if len(short) else n_total
+        caps = np.minimum(caps[:k], p_max)
+        freqs = mirror.frequencies_for_cap(np.full(k, row), caps, 1.0)
+        ratios = freqs / store.max_frequency[row]
 
         best = (1, p_max, 0.0)
-        for n in range(1, n_total + 1):
-            usable = self.budget_watts - node.off_power * (n_total - n)
-            cap = usable / n
-            if cap < p_min:
-                break  # more nodes can't be powered even at f_min
-            cap = min(cap, p_max)
-            freq = model.frequency_for_cap(node, cap, 1.0)
-            ratio = freq / node.max_frequency
-            speed = model.speed_at_ratio(ratio, self.sensitivity)
-            score = n * speed
+        for n, cap, ratio in zip(range(1, k + 1), caps.tolist(), ratios.tolist()):
+            score = n * speed_at(ratio, self.sensitivity)
             if score > best[2]:
                 best = (n, cap, score)
         return best

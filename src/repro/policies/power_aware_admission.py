@@ -55,23 +55,21 @@ class PowerAwareAdmissionPolicy(Policy):
         self.safety_margin = check_positive("safety_margin", safety_margin)
         self.vetoes = 0
 
-    def _default_estimate(self, job: Job) -> float:
-        node = self.simulation.machine.nodes[0]
-        per_node = node.idle_power + (
-            (node.max_power - node.idle_power) * job.mean_power_intensity
-        )
-        return job.nodes * per_node
-
     def estimate(self, job: Job) -> float:
         """The (margin-adjusted) power estimate used for admission."""
-        raw = self._estimator(job) if self._estimator else self._default_estimate(job)
+        if self._estimator:
+            raw = self._estimator(job)
+        else:
+            raw = self.simulation.power_vector.job_power(
+                job.nodes, job.mean_power_intensity, full=True
+            )
         job.power_estimate = raw
         return raw * self.safety_margin
 
     def admit(self, job: Job, now: float) -> bool:
         current = self.simulation.machine_power()
         # The job's nodes already draw idle power; only the delta counts.
-        idle_part = job.nodes * self.simulation.machine.nodes[0].idle_power
+        idle_part = self.simulation.power_vector.job_power(job.nodes, 0.0, full=True)
         delta = max(0.0, self.estimate(job) - idle_part)
         if current + delta > self.budget_watts:
             self.vetoes += 1

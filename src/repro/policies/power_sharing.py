@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..cluster.node import NodeState
+from ..cluster.node import STATE_CODES, NodeState
 from ..core.epa import FunctionalCategory
 from ..errors import PolicyError
 from ..units import check_positive
 from .base import Policy
+
+_BUSY = STATE_CODES[NodeState.BUSY]
 
 
 class DynamicPowerSharingPolicy(Policy):
@@ -67,25 +69,30 @@ class DynamicPowerSharingPolicy(Policy):
         ones.  The extra demand is the gap from the base to the
         uncapped draw, weighted by job priority.
         """
-        machine = self.simulation.machine
-        model = self.simulation.power_model
+        store = self.simulation.machine.store
+        mirror = self.simulation.power_vector
+        rows = store.powered_rows()
+        busy_rows = rows[store.state_code[rows] == _BUSY]
+        # Min-frequency and uncapped draw of every busy node in one
+        # kernel call each, at its bound job's intensity (full when
+        # unbound).
+        intensity = mirror.utilization[busy_rows]
+        min_ratio = store.min_frequency[busy_rows] / store.max_frequency[busy_rows]
+        bases = mirror.power_at_ratio(busy_rows, min_ratio, intensity).tolist()
+        uncapped = mirror.power_at_ratio(busy_rows, 1.0, intensity).tolist()
+        busy = dict(zip(busy_rows.tolist(), zip(bases, uncapped)))
         terms: Dict[int, Tuple[float, float]] = {}
-        for node in machine.nodes:
-            if not node.is_on:
+        for nid, floor in zip(rows.tolist(), store.idle_power[rows].tolist()):
+            if nid not in busy:
+                terms[nid] = (floor, 0.0)
                 continue
-            if node.state is NodeState.BUSY:
-                execution = self.simulation.execution_on(node.node_id)
-                job = execution.job if execution is not None else None
-                intensity = job.mean_power_intensity if job else 1.0
-                f_ratio_min = node.min_frequency / node.max_frequency
-                base = model.power_at_ratio(node, f_ratio_min, intensity)
-                uncapped = model.power_at_ratio(node, 1.0, intensity)
-                weight = 1.0
-                if job is not None and self.priority_weight > 0.0:
-                    weight += self.priority_weight * max(0, job.priority)
-                terms[node.node_id] = (base, max(0.0, uncapped - base) * weight)
-            else:
-                terms[node.node_id] = (node.cap_floor, 0.0)
+            base, full = busy[nid]
+            weight = 1.0
+            if self.priority_weight > 0.0:
+                execution = self.simulation.execution_on(nid)
+                if execution is not None:
+                    weight += self.priority_weight * max(0, execution.job.priority)
+            terms[nid] = (base, max(0.0, full - base) * weight)
         return terms
 
     def redistribute(self, now: float) -> None:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from ..core.epa import FunctionalCategory
 from ..power.dvfs import FrequencyLadder
 from ..power.rapl import RaplDomain
@@ -74,7 +76,7 @@ class RaplEnforcementPolicy(Policy):
         machine = self.simulation.machine
         rm = self.simulation.rm
         to_lower: List = []
-        to_raise: List = []
+        raise_candidates: List = []
         # One vectorized kernel gives every node's draw (machine.nodes
         # order); only the window bookkeeping and the rare step
         # decisions remain per-node.
@@ -91,14 +93,22 @@ class RaplEnforcementPolicy(Policy):
             else:
                 # Headroom: if even a one-step-up draw fits the current
                 # allowance, recover performance.
-                allowance = domain.allowance(now)
                 up = self.ladder.step_up(node.frequency)
                 if up > node.frequency:
-                    ratio = up / node.max_frequency
-                    model = self.simulation.power_model
-                    predicted = model.power_at_ratio(node, ratio, 1.0)
-                    if predicted <= allowance:
-                        to_raise.append((node, up))
+                    raise_candidates.append((node, up, domain.allowance(now)))
+        to_raise: List = []
+        if raise_candidates:
+            store = machine.store
+            rows = np.array([node.node_id for node, _, _ in raise_candidates])
+            ups = np.array([up for _, up, _ in raise_candidates])
+            predicted = self.simulation.power_vector.power_at_ratio(
+                rows, ups / store.max_frequency[rows], 1.0
+            )
+            to_raise = [
+                (node, up)
+                for (node, up, allowance), watts in zip(raise_candidates, predicted.tolist())
+                if watts <= allowance
+            ]
         for node, freq in to_lower:
             rm.set_frequency([node], freq)
             self.steps_down += 1

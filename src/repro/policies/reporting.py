@@ -80,10 +80,10 @@ class EnergyReportingPolicy(Policy):
         if run is None or run <= 0 or job.state is JobState.CANCELLED:
             return
         avg_watts = job.energy_joules / run
-        node = self.simulation.machine.nodes[0]
+        # Scored on the nominal node every job is priced from.
+        idle, dyn = self.simulation.machine.store.nominal
         per_node = avg_watts / max(1, job.nodes)
-        dyn_range = max(node.max_power - node.idle_power, 1e-9)
-        score = (per_node - node.idle_power) / dyn_range
+        score = (per_node - idle) / max(dyn, 1e-9)
         score = min(1.0, max(0.0, score))
         grade = next(g for threshold, g in _GRADES if score >= threshold)
         self.reports.append(

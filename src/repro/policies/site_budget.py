@@ -58,19 +58,13 @@ class SiteBudgetPolicy(Policy):
         self._caps_applied = False
 
     # ------------------------------------------------------------------
-    def _job_delta(self, job: Job) -> float:
-        node = self.simulation.machine.nodes[0]
-        return (
-            job.nodes
-            * (node.max_power - node.idle_power)
-            * job.mean_power_intensity
-        )
-
     def admit(self, job: Job, now: float) -> bool:
         if math.isinf(self.limit_watts):
             return True
-        current = self.simulation.machine_power()
-        if current + self._job_delta(job) > self.limit_watts:
+        simulation = self.simulation
+        current = simulation.machine_power()
+        delta = simulation.power_vector.job_power(job.nodes, job.mean_power_intensity)
+        if current + delta > self.limit_watts:
             self.vetoes += 1
             return False
         return True

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from ..core.epa import FunctionalCategory
 from ..errors import PolicyError
 from ..prediction.thermal_model import NodeThermalModel
@@ -103,12 +105,18 @@ class ThermalAwarePolicy(Policy):
         dt = max(0.0, now - self._last_step)
         self._last_step = now
 
-        power_model = self.simulation.power_model
+        # Every node's draw and full-frequency draw in one kernel call
+        # each (columns read, nothing folded).  The release forecast
+        # prices an unbound node at zero intensity.
+        mirror = self.simulation.power_vector
+        rows = np.arange(len(machine.nodes))
+        all_watts = mirror.operating_points().watts.tolist()
+        intensity = np.where(mirror.exec_slot >= 0, mirror.utilization, 0.0)
+        full_watts = mirror.power_at_ratio(rows, 1.0, intensity).tolist()
         to_throttle = []
         to_release = []
-        for node in machine.nodes:
+        for node, watts, full in zip(machine.nodes, all_watts, full_watts):
             model = self.models[node.node_id]
-            watts = self.simulation._node_operating_point(node).watts
             model.step(dt, watts, ambient)
             predicted = model.predict(self.horizon, watts, ambient)
             if predicted > self.t_max and node.node_id not in self.throttled:
@@ -117,13 +125,7 @@ class ThermalAwarePolicy(Policy):
                 # Release only if the node would stay safe at FULL
                 # frequency — releasing on the throttled-power forecast
                 # causes thermostat oscillation around t_max.
-                execution = self.simulation.execution_on(node.node_id)
-                utilization = (
-                    execution.job.mean_power_intensity
-                    if execution is not None else 0.0
-                )
-                full_watts = power_model.power_at_ratio(node, 1.0, utilization)
-                if (model.predict(self.horizon, full_watts, ambient)
+                if (model.predict(self.horizon, full, ambient)
                         < self.t_max - 5.0):  # hysteresis band
                     to_release.append(node)
 

@@ -8,7 +8,7 @@ attribution, and hierarchical power budgets (site -> system ->
 partition -> node).
 """
 
-from .model import NodePowerModel, PowerSample
+from .model import NodePowerModel
 from .dvfs import FrequencyLadder
 from .rapl import RaplDomain
 from .capmc import Capmc
@@ -25,7 +25,6 @@ __all__ = [
     "OperatingPoints",
     "PowerBudget",
     "PowerMeter",
-    "PowerSample",
     "RaplDomain",
     "VectorPowerMirror",
 ]

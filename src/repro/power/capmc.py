@@ -18,10 +18,14 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
+import numpy as np
+
 from ..cluster.machine import Machine
 from ..cluster.node import NodeState
 from ..errors import PowerCapError
+from . import kernels
 from .model import NodePowerModel
+from .vector import store_columns
 
 
 class Capmc:
@@ -91,23 +95,26 @@ class Capmc:
     # ------------------------------------------------------------------
     # Monitoring
     # ------------------------------------------------------------------
+    def _node_watts(self, utilization: float) -> list:
+        """Every node's draw with BUSY nodes at *utilization*, one kernel
+        call over the store columns."""
+        store = self.machine.store
+        util = np.full(len(store), min(1.0, max(0.0, float(utilization))))
+        return kernels.node_watts_np(
+            *store_columns(store, self.power_model, util)
+        ).tolist()
+
     def get_power(self, utilization: float = 1.0) -> float:
         """Instantaneous machine power (watts), summed over nodes.
 
         *utilization* is the assumed intensity of BUSY nodes when the
         caller has no per-job information (out-of-band reads don't).
         """
-        total = 0.0
-        for node in self.machine.nodes:
-            total += self.power_model.operating_point(node, utilization).watts
-        return total
+        return sum(self._node_watts(utilization), 0.0)
 
     def get_node_energy_counters(self, utilization: float = 1.0) -> Dict[int, float]:
         """Per-node instantaneous power (watts) keyed by node id."""
-        return {
-            node.node_id: self.power_model.operating_point(node, utilization).watts
-            for node in self.machine.nodes
-        }
+        return dict(enumerate(self._node_watts(utilization)))
 
     def powered_on_count(self) -> int:
         """Number of nodes consuming operational power."""

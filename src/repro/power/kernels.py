@@ -3,7 +3,8 @@
 One numpy kernel per operation, each called directly by its engine
 caller:
 
-* :func:`node_watts_np` — per-row watts, the inner kernel of
+* :func:`node_points_np` — the node power physics per row, and
+  :func:`node_watts_np`, its watts alone: the inner kernel of
   :meth:`~repro.power.vector.VectorPowerMirror.machine_watts`;
 * :func:`earliest_fit_index_np` — the earliest-fit window scan over a
   free-node curve with reservations subtracted;
@@ -26,6 +27,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 __all__ = [
+    "node_points_np",
     "node_watts_np",
     "earliest_fit_index_np",
     "plan_conservative_np",
@@ -43,9 +45,9 @@ _BUSY = 5
 
 
 # ----------------------------------------------------------------------
-# Kernel 1: per-node watts (the machine_watts dirty-fold inner kernel)
+# Kernel 1: per-node power (the machine_watts dirty-fold inner kernel)
 # ----------------------------------------------------------------------
-def node_watts_np(
+def node_points_np(
     state: np.ndarray,
     idle: np.ndarray,
     max_p: np.ndarray,
@@ -59,10 +61,20 @@ def node_watts_np(
     alpha: float,
     boot_frac: float,
     shut_frac: float,
-) -> np.ndarray:
-    """Watts per row — the watts column of
-    :meth:`VectorPowerMirror.operating_points`, extracted so the
-    ``machine_watts`` fold skips the speed/ratio/violation columns."""
+) -> Tuple[np.ndarray, ...]:
+    """Node power physics, one row per node: ``(watts, f_set, f_eff,
+    clamped, dyn)``.
+
+    Off and down rows draw ``off_p``; booting rows ``off_p`` plus
+    *boot_frac* of their variability-adjusted max; shutting-down rows
+    *shut_frac* of idle; idle rows idle.  A busy row draws ``idle + dyn
+    * f_eff**alpha`` with ``dyn = (max_p - idle) * var * util``, where
+    the effective frequency ratio ``f_eff`` is the set ratio ``f_set``
+    clamped to the highest ratio whose draw meets the row's cap (+inf
+    for none), but never below ``f_min``: ``clamped`` marks the rows
+    held at ``f_min`` over their cap.  The scalar statement of the same
+    physics is ``tests/power_oracles.py``.
+    """
     off = (state == _OFF) | (state == _DOWN)
     boot = state == _BOOTING
     shut = state == _SHUTTING_DOWN
@@ -72,6 +84,9 @@ def node_watts_np(
     f_min = min_f / max_f
     dyn = (max_p - idle) * var * util
 
+    # BUSY cap clamp.  A gone budget (cap <= idle) and f_cap < f_min
+    # both resolve to (f_min, clamped), so a single guarded f_cap (0
+    # when the budget is gone) covers both.
     capped = np.isfinite(cap)
     over = capped & (dyn > 0.0) & (idle + dyn * f_set**alpha > cap)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -79,9 +94,10 @@ def node_watts_np(
             np.maximum(cap - idle, 0.0) / np.where(dyn > 0.0, dyn, 1.0)
         ) ** (1.0 / alpha)
     f_eff = np.where(over, np.minimum(f_set, f_cap), f_set)
-    f_eff = np.where(over & (f_cap < f_min), f_min, f_eff)
+    clamped = over & (f_cap < f_min)
+    f_eff = np.where(clamped, f_min, f_eff)
 
-    return np.select(
+    watts = np.select(
         [off, boot, shut, idle_m],
         [
             off_p,
@@ -91,6 +107,13 @@ def node_watts_np(
         ],
         default=idle + dyn * f_eff**alpha,
     )
+    return watts, f_set, f_eff, clamped, dyn
+
+
+def node_watts_np(*columns) -> np.ndarray:
+    """Watts per row: the first field of :func:`node_points_np` (same
+    arguments), all the ``machine_watts`` fold needs."""
+    return node_points_np(*columns)[0]
 
 
 # ----------------------------------------------------------------------

@@ -23,38 +23,17 @@ violation* — which is exactly the condition emergency policies
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..cluster.node import Node, NodeState
 from ..errors import ConfigurationError
 from ..units import check_fraction, check_positive
 
 
-@dataclass(frozen=True)
-class PowerSample:
-    """Instantaneous operating point of one node.
-
-    Attributes
-    ----------
-    watts:
-        Predicted power draw.
-    frequency_ratio:
-        Effective frequency as a fraction of f_max after DVFS setting
-        and cap clamping.
-    speed:
-        Relative execution speed in (0, 1] for the running phase.
-    cap_violated:
-        True when the cap could not be met even at minimum frequency.
-    """
-
-    watts: float
-    frequency_ratio: float
-    speed: float
-    cap_violated: bool = False
-
-
 class NodePowerModel:
-    """Maps node state + workload intensity to power and speed.
+    """Parameters of the node power model, plus the phase speed law.
+
+    The power physics over these parameters runs on the machine's node
+    columns (:mod:`repro.power.kernels`, fed by
+    :class:`~repro.power.vector.VectorPowerMirror`); its scalar,
+    one-node statement is the test oracle ``tests/power_oracles.py``.
 
     Parameters
     ----------
@@ -82,103 +61,6 @@ class NodePowerModel:
         self.shutdown_power_fraction = check_positive(
             "shutdown_power_fraction", shutdown_power_fraction
         )
-
-    # ------------------------------------------------------------------
-    def _dynamic_range(self, node: Node) -> float:
-        """Variability-adjusted dynamic power span (max - idle), watts."""
-        return (node.max_power - node.idle_power) * node.variability
-
-    def operating_point(
-        self,
-        node: Node,
-        utilization: float = 1.0,
-        sensitivity: float = 1.0,
-    ) -> PowerSample:
-        """Compute the node's power and speed at its current settings.
-
-        Parameters
-        ----------
-        utilization:
-            Fraction of the node's compute capacity the running job
-            exercises (job power intensity), in [0, 1].
-        sensitivity:
-            Frequency sensitivity of the running phase, in [0, 1].
-        """
-        state = node.state
-        if state in (NodeState.OFF, NodeState.DOWN):
-            return PowerSample(node.off_power, 0.0, 0.0)
-        if state is NodeState.BOOTING:
-            return PowerSample(
-                node.off_power + self.boot_power_fraction * node.effective_max_power,
-                0.0,
-                0.0,
-            )
-        if state is NodeState.SHUTTING_DOWN:
-            return PowerSample(node.idle_power * self.shutdown_power_fraction, 0.0, 0.0)
-        if state is NodeState.IDLE:
-            watts = node.idle_power
-            if node.power_cap is not None and watts > node.power_cap:
-                return PowerSample(watts, 1.0, 0.0, cap_violated=True)
-            return PowerSample(watts, node.frequency / node.max_frequency, 0.0)
-
-        # BUSY ----------------------------------------------------------
-        utilization = min(1.0, max(0.0, utilization))
-        sensitivity = min(1.0, max(0.0, sensitivity))
-        dyn = self._dynamic_range(node) * utilization
-        f_set = node.frequency / node.max_frequency
-        f_min = node.min_frequency / node.max_frequency
-
-        f_eff = f_set
-        cap_violated = False
-        if node.power_cap is not None and dyn > 0.0:
-            uncapped = node.idle_power + dyn * f_set**self.alpha
-            if uncapped > node.power_cap:
-                budgeted = node.power_cap - node.idle_power
-                if budgeted <= 0.0:
-                    f_eff = f_min
-                    cap_violated = True
-                else:
-                    f_cap = (budgeted / dyn) ** (1.0 / self.alpha)
-                    if f_cap < f_min:
-                        f_eff = f_min
-                        cap_violated = True
-                    else:
-                        f_eff = min(f_set, f_cap)
-        elif node.power_cap is not None and node.idle_power > node.power_cap:
-            cap_violated = True
-
-        watts = node.idle_power + dyn * f_eff**self.alpha
-        speed = 1.0 - sensitivity * (1.0 - f_eff)
-        speed = max(speed, 1e-9)
-        return PowerSample(watts, f_eff, speed, cap_violated)
-
-    # ------------------------------------------------------------------
-    def power_at_ratio(
-        self, node: Node, frequency_ratio: float, utilization: float = 1.0
-    ) -> float:
-        """Predicted BUSY power at an explicit frequency ratio."""
-        frequency_ratio = min(1.0, max(node.min_frequency / node.max_frequency, frequency_ratio))
-        dyn = self._dynamic_range(node) * min(1.0, max(0.0, utilization))
-        return node.idle_power + dyn * frequency_ratio**self.alpha
-
-    def frequency_for_cap(
-        self, node: Node, cap: float, utilization: float = 1.0
-    ) -> float:
-        """Highest frequency (Hz) whose predicted power meets *cap*.
-
-        Clamps to the node's DVFS range; at the bottom of the range the
-        cap may still be violated (caller can check via
-        :meth:`operating_point`).
-        """
-        dyn = self._dynamic_range(node) * min(1.0, max(0.0, utilization))
-        if dyn <= 0.0:
-            return node.max_frequency if cap >= node.idle_power else node.min_frequency
-        budgeted = cap - node.idle_power
-        if budgeted <= 0.0:
-            return node.min_frequency
-        ratio = (budgeted / dyn) ** (1.0 / self.alpha)
-        freq = ratio * node.max_frequency
-        return min(node.max_frequency, max(node.min_frequency, freq))
 
     def speed_at_ratio(self, frequency_ratio: float, sensitivity: float) -> float:
         """Relative speed at a frequency ratio for a phase sensitivity."""

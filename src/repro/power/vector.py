@@ -1,23 +1,23 @@
-"""Vectorized power fold over the machine's node columns.
+"""Node power over the machine's node columns: the one implementation.
 
-:class:`NodePowerModel` is the executable spec: one node in, one
-:class:`~repro.power.model.PowerSample` out.  That shape is perfect for
-reasoning and testing and hopeless for machine-scale control loops —
 Tokyo Tech's windowed capping, RIKEN's emergency kill and every budget
-policy in this reproduction query *whole-machine* power every tick, and
-a per-node Python call that allocates a frozen dataclass caps the
-simulator at a few thousand nodes.
-
-:class:`VectorPowerMirror` evaluates the *same* operating-point
-semantics as the scalar model — boot/shutdown states, cap clamping to
-``f_min``, cap-violation flags — in a handful of array ops over the
-machine's :class:`~repro.cluster.node.NodeStore` columns (state code,
-idle/max/off power, variability, frequency and DVFS range, cap).  It
-owns only what a node does not: the bound job's intensity and
+policy in this reproduction query *whole-machine* power every tick, so
+node power is computed in array ops over the machine's
+:class:`~repro.cluster.node.NodeStore` columns (state code,
+idle/max/off power, variability, frequency and DVFS range, cap) and
+nowhere else: :func:`repro.power.kernels.node_points_np` holds the
+physics — boot/shutdown states, cap clamping to ``f_min``,
+cap-violation flags — and :class:`VectorPowerMirror` feeds it.  The
+mirror owns only what a node does not: the bound job's intensity and
 sensitivity per row (``utilization``/``sensitivity``), the execution
-slot per row (``exec_slot``) and the fold's cache.  Equivalence with
-:meth:`NodePowerModel.operating_point` is pinned by the randomized
-sweeps in ``tests/test_power_vector.py``.
+slot per row (``exec_slot``) and the fold's cache.  Its prediction
+helpers (:meth:`~VectorPowerMirror.power_at_ratio`,
+:meth:`~VectorPowerMirror.frequencies_for_cap`) and the one job-power
+estimator (:meth:`~VectorPowerMirror.job_power`) serve the policies.
+
+The scalar, one-node statement of the same physics is a test oracle,
+``tests/power_oracles.py``; the randomized sweeps in
+``tests/test_power_vector.py`` pin the kernels against it.
 
 One store, one rule: the store's row methods are the only writers of
 node columns, and every writer — including the binding writes here —
@@ -36,11 +36,11 @@ from typing import Optional
 import numpy as np
 
 from ..cluster.machine import Machine
-from ..cluster.node import STATE_CODES, NodeState
+from ..cluster.node import STATE_CODES, NodeState, NodeStore
 from . import kernels
 from .model import NodePowerModel
 
-__all__ = ["OperatingPoints", "VectorPowerMirror", "STATE_CODES"]
+__all__ = ["OperatingPoints", "VectorPowerMirror", "STATE_CODES", "store_columns"]
 
 # The kernel layer hard-codes the codes (it does not import the node
 # state machine); fail loudly if the two tables ever drift.
@@ -51,18 +51,42 @@ assert STATE_CODES[NodeState.SHUTTING_DOWN] == kernels._SHUTTING_DOWN
 assert STATE_CODES[NodeState.IDLE] == kernels._IDLE
 assert STATE_CODES[NodeState.BUSY] == kernels._BUSY
 
-_OFF = STATE_CODES[NodeState.OFF]
-_DOWN = STATE_CODES[NodeState.DOWN]
-_BOOTING = STATE_CODES[NodeState.BOOTING]
-_SHUTTING_DOWN = STATE_CODES[NodeState.SHUTTING_DOWN]
 _IDLE = STATE_CODES[NodeState.IDLE]
 _BUSY = STATE_CODES[NodeState.BUSY]
 
 
+def store_columns(
+    store: NodeStore, model: NodePowerModel, util: np.ndarray, sel=slice(None)
+):
+    """The :func:`~repro.power.kernels.node_points_np` arguments for the
+    rows *sel* of *store* under *model*, at per-row utilization *util*."""
+    return (
+        store.state_code[sel],
+        store.idle_power[sel],
+        store.max_power[sel],
+        store.off_power[sel],
+        store.variability[sel],
+        store.frequency[sel],
+        store.min_frequency[sel],
+        store.max_frequency[sel],
+        store.power_cap[sel],
+        util,
+        model.alpha,
+        model.boot_power_fraction,
+        model.shutdown_power_fraction,
+    )
+
+
 @dataclass(frozen=True)
 class OperatingPoints:
-    """Vectorized :class:`~repro.power.model.PowerSample`: one row per
-    queried node, fields aligned by position."""
+    """Operating point of each queried node, fields aligned by position.
+
+    ``watts`` is the draw; ``frequency_ratio`` the effective frequency
+    as a fraction of f_max after DVFS setting and cap clamping;
+    ``speed`` the relative execution speed of the running phase (0 when
+    not busy); ``cap_violated`` whether the cap could not be met even
+    at minimum frequency.
+    """
 
     watts: np.ndarray
     frequency_ratio: np.ndarray
@@ -133,91 +157,34 @@ class VectorPowerMirror:
     # Kernels
     # ------------------------------------------------------------------
     def operating_points(self, rows: Optional[np.ndarray] = None) -> OperatingPoints:
-        """Operating point of the selected rows (all rows when None).
-
-        Replicates :meth:`NodePowerModel.operating_point` branch for
-        branch; see that method for the physics.
-        """
+        """Operating point of the selected rows (all rows when None),
+        each with its bound job's intensity and sensitivity.  Reads the
+        columns only: nothing is folded."""
         sel = slice(None) if rows is None else rows
-        store = self.store
-        state = store.state_code[sel]
-        idle = store.idle_power[sel]
-        max_p = store.max_power[sel]
-        off_p = store.off_power[sel]
-        var = store.variability[sel]
-        freq = store.frequency[sel]
-        min_f = store.min_frequency[sel]
-        max_f = store.max_frequency[sel]
-        cap = store.power_cap[sel]
-        util = self.utilization[sel]
-        sens = self.sensitivity[sel]
-        model = self.model
-        alpha = model.alpha
+        columns = store_columns(self.store, self.model, self.utilization[sel], sel)
+        state, idle, cap = columns[0], columns[1], columns[8]
+        watts, f_set, f_eff, clamped, dyn = kernels.node_points_np(*columns)
 
-        off = (state == _OFF) | (state == _DOWN)
-        boot = state == _BOOTING
-        shut = state == _SHUTTING_DOWN
         idle_m = state == _IDLE
         busy = state == _BUSY
-
-        f_set = freq / max_f
-        f_min = min_f / max_f
-        dyn = (max_p - idle) * var * util
-
-        # BUSY cap clamp.  ``budgeted <= 0`` and ``f_cap < f_min`` both
-        # resolve to (f_min, violated) in the scalar model, so a single
-        # guarded f_cap (0 when the budget is gone) covers both.
-        capped = np.isfinite(cap)
-        over = capped & (dyn > 0.0) & (idle + dyn * f_set**alpha > cap)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            f_cap = (
-                np.maximum(cap - idle, 0.0) / np.where(dyn > 0.0, dyn, 1.0)
-            ) ** (1.0 / alpha)
-        f_eff = np.where(over, np.minimum(f_set, f_cap), f_set)
-        clamp_to_min = over & (f_cap < f_min)
-        f_eff = np.where(clamp_to_min, f_min, f_eff)
-        busy_violated = clamp_to_min | (capped & (dyn <= 0.0) & (idle > cap))
-
         idle_violated = idle_m & (idle > cap)
-
-        watts = np.select(
-            [off, boot, shut, idle_m],
-            [
-                off_p,
-                off_p + model.boot_power_fraction * (max_p * var),
-                idle * model.shutdown_power_fraction,
-                idle,
-            ],
-            default=idle + dyn * f_eff**alpha,
-        )
+        busy_violated = clamped | (np.isfinite(cap) & (dyn <= 0.0) & (idle > cap))
         ratio = np.select(
             [idle_violated, idle_m, busy], [1.0, f_set, f_eff], default=0.0
         )
         speed = np.where(
-            busy, np.maximum(1.0 - sens * (1.0 - f_eff), 1e-9), 0.0
+            busy,
+            np.maximum(1.0 - self.sensitivity[sel] * (1.0 - f_eff), 1e-9),
+            0.0,
         )
         violated = idle_violated | (busy & busy_violated)
         return OperatingPoints(watts, ratio, speed, violated)
 
     def _watts_kernel(self, sel) -> np.ndarray:
-        """Watts for the selected rows via the kernel layer (a numpy
-        expression bit-identical to ``operating_points(sel).watts``)."""
-        model = self.model
-        store = self.store
+        """Watts for the selected rows (``operating_points(sel).watts``
+        without the other fields)."""
         return kernels.node_watts_np(
-            store.state_code[sel],
-            store.idle_power[sel],
-            store.max_power[sel],
-            store.off_power[sel],
-            store.variability[sel],
-            store.frequency[sel],
-            store.min_frequency[sel],
-            store.max_frequency[sel],
-            store.power_cap[sel],
-            self.utilization[sel],
-            model.alpha,
-            model.boot_power_fraction,
-            model.shutdown_power_fraction,
+            *store_columns(self.store, self.model, self.utilization[sel], sel)
         )
 
     def machine_watts(self) -> float:
@@ -280,9 +247,9 @@ class VectorPowerMirror:
         caps: np.ndarray,
         utilization: float = 1.0,
     ) -> np.ndarray:
-        """Vector twin of :meth:`NodePowerModel.frequency_for_cap`:
-        highest Hz per row whose predicted power meets the row's cap,
-        clamped to the DVFS range."""
+        """Highest Hz per row whose predicted BUSY power at
+        *utilization* meets the row's cap, clamped to the DVFS range
+        (at the bottom of the range the cap may still be violated)."""
         caps = np.asarray(caps, dtype=float)
         store = self.store
         idle = store.idle_power[rows]
@@ -301,18 +268,26 @@ class VectorPowerMirror:
             dyn <= 0.0, np.where(caps >= idle, max_f, min_f), freq
         )
 
-    def power_at_ratio(
-        self,
-        rows: np.ndarray,
-        ratios: np.ndarray,
-        utilization: float = 1.0,
-    ) -> np.ndarray:
-        """Vector twin of :meth:`NodePowerModel.power_at_ratio`:
-        predicted BUSY watts per row at an explicit frequency ratio."""
+    def power_at_ratio(self, rows: np.ndarray, ratios, utilization=1.0) -> np.ndarray:
+        """Predicted BUSY watts per row at an explicit frequency ratio
+        (clamped to the row's DVFS range) and utilization — one value
+        for every row, or one per row."""
         store = self.store
         idle = store.idle_power[rows]
         min_ratio = store.min_frequency[rows] / store.max_frequency[rows]
         ratios = np.minimum(1.0, np.maximum(min_ratio, np.asarray(ratios, dtype=float)))
-        util = min(1.0, max(0.0, float(utilization)))
+        util = np.clip(utilization, 0.0, 1.0)
         dyn = (store.max_power[rows] - idle) * store.variability[rows] * util
         return idle + dyn * ratios**self.model.alpha
+
+    def job_power(self, nodes: int, intensity: float, full: bool = False) -> float:
+        """Nominal price of an unplaced job of *nodes* nodes at power
+        *intensity*, from the store's ``nominal`` ``(idle, dyn)`` pair:
+        the draw it adds over idle, ``(nodes × dyn) × intensity``, or
+        with *full* its whole draw, ``nodes × (idle + dyn × intensity)``.
+        Variability, caps and DVFS settings are not known before
+        placement and do not enter."""
+        idle, dyn = self.store.nominal
+        if full:
+            return nodes * (idle + dyn * intensity)
+        return nodes * dyn * intensity

@@ -38,6 +38,7 @@ from repro.state import (
 )
 from repro.workload import WorkloadGenerator, WorkloadSpec
 
+from .power_oracles import simulation_watts
 from .state_scenarios import step_until
 
 
@@ -267,9 +268,7 @@ class TestEndToEndEquivalence:
         bulk.prepare()
         checked = 0
         while not bulk.all_jobs_terminal and bulk.sim.step():
-            spec = sum(
-                bulk._node_operating_point(n).watts for n in bulk.machine.nodes
-            )
+            spec = simulation_watts(bulk)
             assert bulk.machine_power() == pytest.approx(spec, rel=1e-9), (
                 bulk.sim.now
             )

@@ -253,6 +253,17 @@ class TestVectorizedPricing:
         )
 
 
+#: Narrowest band a drawn tiling may hold, hours.  Two cuts one float
+#: apart would make a band whose mid-point rounds onto the next band's
+#: start, so ``price_at(mid)`` would rightly answer the next price.
+MIN_CUT_GAP = 1e-3
+
+
+def _spaced(cuts) -> bool:
+    ordered = sorted(cuts)
+    return all(b - a >= MIN_CUT_GAP for a, b in zip(ordered, ordered[1:]))
+
+
 @st.composite
 def _tilings(draw):
     cuts = draw(
@@ -261,7 +272,7 @@ def _tilings(draw):
             min_size=0,
             max_size=6,
             unique=True,
-        )
+        ).filter(_spaced)
     )
     edges = [0.0] + sorted(cuts) + [24.0]
     prices = draw(

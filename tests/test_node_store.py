@@ -6,10 +6,11 @@ undrains, cohort caps and DVFS, job starts and ends (the engine
 advancing), and plain writes through node views (``node.idle_power =
 x``, ``node.variability = x``, ``node.state = ...``).  After every step:
 
-* ``machine_power()`` equals the scalar ``NodePowerModel`` sum over
-  every node to 1e-9 — with no invalidation call, because every writer
-  marks its rows dirty;
-* the store's per-state counts equal a recount of the state column;
+* ``machine_power()`` equals the scalar spec (``tests/power_oracles.py``)
+  summed over every node to 1e-9 — with no invalidation call, because
+  every writer marks its rows dirty;
+* the store's per-state counts equal a recount of the state column, and
+  its nominal job price the first row of largest dynamic span;
 * snapshot -> restore -> snapshot is byte-identical.
 """
 
@@ -24,6 +25,7 @@ from repro.state import restore, snapshot
 from repro.state.serialize import to_bytes
 
 from tests.conftest import make_job
+from tests.power_oracles import simulation_watts
 
 NODES = 12
 
@@ -47,7 +49,7 @@ def build(statics=()):
 
 
 def spec_sum(sim) -> float:
-    return sum(sim._node_operating_point(n).watts for n in sim.machine.nodes)
+    return simulation_watts(sim)
 
 
 def pick(rng, nodes, k=None):
@@ -123,6 +125,10 @@ def test_random_control_sequences_keep_one_store(seed):
             store.state_code, minlength=6
         ).tolist()
         assert sim.machine_power() == pytest.approx(spec_sum(sim), rel=1e-9, abs=1e-9)
+        span = store.max_power - store.idle_power
+        row = int(np.argmax(span))
+        assert store.nominal_row == row
+        assert store.nominal == (store.idle_power[row], span[row])
 
         blob = to_bytes(snapshot(sim))
         frozen = list(statics)
@@ -130,5 +136,6 @@ def test_random_control_sequences_keep_one_store(seed):
         assert to_bytes(snapshot(restored)) == blob
         restored_store = restored.machine.store
         assert restored_store.counts == store.counts
+        assert restored_store.nominal == store.nominal
     assert len(kinds) >= 8
     assert sim._started_count > 0 and sim._terminal_count > 0

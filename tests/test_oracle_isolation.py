@@ -1,8 +1,9 @@
 """The test oracles stay test-only.
 
 ``tests/backfill_oracles.py`` holds the seed schedulers and python
-kernel twins the runtime code is pinned against, and
-``tests/workload_oracles.py`` the seed's per-job workload draw.
+kernel twins the runtime code is pinned against,
+``tests/workload_oracles.py`` the seed's per-job workload draw, and
+``tests/power_oracles.py`` the scalar node power physics.
 Runtime code that imported them would silently put an O(P·T³) loop
 back on a hot path (and make the package depend on its test tree), so
 any import of an oracle module — or of anything under ``tests`` — from
@@ -50,11 +51,13 @@ def test_check_catches_an_oracle_import(tmp_path):
     probe.write_text(
         "from tests.backfill_oracles import plan_conservative_py\n"
         "from .backfill_oracles import ReferenceFreeNodeProfile\n"
-        "from .workload_oracles import scalar_generate\n",
+        "from .workload_oracles import scalar_generate\n"
+        "from tests.power_oracles import operating_point\n",
         encoding="utf-8",
     )
     assert [m for m in _imported_modules(probe) if _forbidden(m)] == [
         "tests.backfill_oracles",
         "backfill_oracles",
         "workload_oracles",
+        "tests.power_oracles",
     ]

@@ -13,6 +13,8 @@ from repro.policies import (
 )
 from tests.conftest import make_job
 
+from . import power_oracles as oracle
+
 
 def machine16():
     return Machine(MachineSpec(name="m", nodes=16,
@@ -144,6 +146,29 @@ class TestOverprovisioning:
         assert n > 8
         assert cap < 400.0
         assert score > 8.0
+
+    def test_scan_matches_the_scalar_spec(self):
+        # The one-call kernel scan against the seed's per-n loop over
+        # the scalar spec.
+        machine = machine16()
+        policy = OverprovisioningPolicy(budget_watts=7 * 400.0, sensitivity=0.8)
+        sim = ClusterSimulation(machine, FcfsScheduler(), [], policies=[policy])
+        model, node = sim.power_model, machine.nodes[0]
+        p_min = oracle.power_at_ratio(model, node, 0.0)
+        best = (1, node.effective_max_power, 0.0)
+        for n in range(1, 17):
+            cap = (policy.budget_watts - node.off_power * (16 - n)) / n
+            if cap < p_min:
+                break
+            cap = min(cap, node.effective_max_power)
+            ratio = oracle.frequency_for_cap(model, node, cap) / node.max_frequency
+            score = n * model.speed_at_ratio(ratio, policy.sensitivity)
+            if score > best[2]:
+                best = (n, cap, score)
+        n, cap, score = policy.solve_operating_point()
+        assert n == best[0]
+        assert cap == pytest.approx(best[1])
+        assert score == pytest.approx(best[2])
 
     def test_generous_budget_uses_all_nodes(self):
         machine = machine16()

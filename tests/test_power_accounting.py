@@ -17,13 +17,12 @@ from repro.core import ClusterSimulation, FcfsScheduler
 from repro.policies.dvfs_budget import DvfsBudgetPolicy
 from repro.power.capmc import Capmc
 from tests.conftest import make_job
+from tests.power_oracles import simulation_watts
 
 
 def full_sum(csim: ClusterSimulation) -> float:
     """Ground truth: re-derive the machine draw node by node."""
-    return sum(
-        csim._node_operating_point(n).watts for n in csim.machine.nodes
-    )
+    return simulation_watts(csim)
 
 
 def fresh(jobs=(), nodes=16, **kwargs):

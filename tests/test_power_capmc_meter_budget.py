@@ -10,6 +10,8 @@ from repro.cluster.site import Site
 from repro.cluster.thermal import AmbientModel, CoolingModel
 from repro.simulator import Simulator
 
+from . import power_oracles as oracle
+
 
 class TestCapmc:
     def test_node_caps(self, small_machine):
@@ -40,6 +42,21 @@ class TestCapmc:
         capmc = Capmc(small_machine)
         idle = small_machine.idle_floor_power
         assert capmc.get_power() == pytest.approx(idle)
+
+    def test_get_power_matches_spec(self, small_machine):
+        # Busy, capped and throttled nodes through the kernel: per node
+        # the scalar spec at the assumed utilization.
+        for node in small_machine.nodes[:6]:
+            node.transition(NodeState.BUSY, 0.0)
+        small_machine.node(2).set_frequency(1.5e9)
+        capmc = Capmc(small_machine)
+        capmc.set_node_cap([1, 2, 9], 200.0)
+        counters = capmc.get_node_energy_counters(0.6)
+        assert list(counters) == list(range(16))
+        for node in small_machine.nodes:
+            spec = oracle.operating_point(capmc.power_model, node, 0.6).watts
+            assert counters[node.node_id] == pytest.approx(spec, abs=1e-9)
+        assert capmc.get_power(0.6) == pytest.approx(sum(counters.values()))
 
     def test_node_status_groups(self, small_machine):
         small_machine.node(0).transition(NodeState.BUSY, 0.0)

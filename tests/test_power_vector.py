@@ -1,7 +1,8 @@
 """Per-node spec vs vectorized power mirror.
 
-``NodePowerModel.operating_point`` is the executable spec;
-``VectorPowerMirror`` re-implements it as array kernels.  The sweeps
+``tests/power_oracles.py`` holds the executable spec, one node at a
+time; ``VectorPowerMirror`` and ``repro.power.kernels`` implement it as
+array kernels, the only power physics the simulator runs.  The sweeps
 here randomize node state (all six states), caps — including caps
 below idle power, which the scalar model flags as violations —
 DVFS settings, manufacturing variability and job intensities, and
@@ -30,6 +31,7 @@ from repro.units import HOUR
 from repro.workload import WorkloadGenerator, WorkloadSpec
 from tests.conftest import make_job
 
+from . import power_oracles as oracle
 from .state_scenarios import build_rich
 
 ALL_STATES = list(NodeState)
@@ -79,7 +81,7 @@ class TestKernelEquivalence:
 
         op = mirror.operating_points()
         for row, node in enumerate(machine.nodes):
-            sample = model.operating_point(node, utils[row], senss[row])
+            sample = oracle.operating_point(model, node, utils[row], senss[row])
             assert op.watts[row] == pytest.approx(sample.watts, abs=1e-9)
             assert op.frequency_ratio[row] == pytest.approx(
                 sample.frequency_ratio, abs=1e-9
@@ -128,7 +130,7 @@ class TestKernelEquivalence:
         mirror.utilization[0] = util
         mirror.sensitivity[0] = sens
         op = mirror.operating_points()
-        sample = model.operating_point(node, util, sens)
+        sample = oracle.operating_point(model, node, util, sens)
         assert op.watts[0] == pytest.approx(sample.watts, abs=1e-9)
         assert op.frequency_ratio[0] == pytest.approx(
             sample.frequency_ratio, abs=1e-9
@@ -150,7 +152,7 @@ class TestKernelEquivalence:
         )
         freqs = mirror.frequencies_for_cap(rows, caps, util)
         for row, node in enumerate(machine.nodes):
-            expected = model.frequency_for_cap(node, caps[row], util)
+            expected = oracle.frequency_for_cap(model, node, caps[row], util)
             assert freqs[row] == pytest.approx(expected, abs=1e-6)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -164,7 +166,19 @@ class TestKernelEquivalence:
         util = rnd.random()
         watts = mirror.power_at_ratio(rows, ratios, util)
         for row, node in enumerate(machine.nodes):
-            expected = model.power_at_ratio(node, ratios[row], util)
+            expected = oracle.power_at_ratio(model, node, ratios[row], util)
+            assert watts[row] == pytest.approx(expected, abs=1e-9)
+
+    def test_power_at_ratio_takes_per_row_utilization(self):
+        rnd = random.Random(400)
+        machine = random_machine(rnd)
+        model = NodePowerModel()
+        mirror = VectorPowerMirror(machine, model)
+        rows = np.arange(len(machine.nodes))
+        utils = np.asarray([rnd.uniform(-0.2, 1.2) for _ in machine.nodes])
+        watts = mirror.power_at_ratio(rows, 0.8, utils)
+        for row, node in enumerate(machine.nodes):
+            expected = oracle.power_at_ratio(model, node, 0.8, utils[row])
             assert watts[row] == pytest.approx(expected, abs=1e-9)
 
     def test_bind_clamps_out_of_range_intensities(self):
@@ -180,11 +194,9 @@ class TestKernelEquivalence:
 
 
 def full_scalar_sum(csim: ClusterSimulation) -> float:
-    """``NodePowerModel.operating_point`` summed over every node, each
-    with its bound job's intensity/sensitivity."""
-    return sum(
-        csim._node_operating_point(n).watts for n in csim.machine.nodes
-    )
+    """The spec operating point summed over every node, each with its
+    bound job's intensity/sensitivity."""
+    return oracle.simulation_watts(csim)
 
 
 class TestMirrorAccounting:
@@ -207,7 +219,7 @@ class TestMirrorAccounting:
         per_node = csim.node_watts()
         for row, node in enumerate(machine.nodes):
             assert per_node[row] == pytest.approx(
-                csim._node_operating_point(node).watts, abs=1e-9
+                oracle.simulation_operating_point(csim, node).watts, abs=1e-9
             )
 
     def test_force_resum_matches_incremental_total(self):

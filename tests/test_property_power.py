@@ -1,4 +1,4 @@
-"""Property-based tests: power model and budget invariants."""
+"""Property-based tests: power kernel and budget invariants."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from repro.cluster import Node, NodeState
 from repro.errors import BudgetError
 from repro.power import NodePowerModel, PowerBudget
+
+from .power_oracles import kernel_sample
 
 node_params = st.tuples(
     st.floats(min_value=10.0, max_value=500.0),   # idle
@@ -31,7 +33,7 @@ class TestPowerModelProperties:
         node = build_node(params)
         node.transition(NodeState.BUSY, 0.0)
         model = NodePowerModel(alpha=alpha)
-        sample = model.operating_point(node, util, sens)
+        sample = kernel_sample(model, node, util, sens)
         assert node.idle_power - 1e-9 <= sample.watts
         assert sample.watts <= node.effective_max_power + 1e-9
         assert 0.0 < sample.speed <= 1.0
@@ -42,7 +44,7 @@ class TestPowerModelProperties:
         node = build_node(params)
         node.transition(NodeState.BUSY, 0.0)
         model = NodePowerModel()
-        watts = [model.operating_point(node, u, sens).watts
+        watts = [kernel_sample(model, node, u, sens).watts
                  for u in (0.0, 0.25, 0.5, 0.75, 1.0)]
         assert all(a <= b + 1e-9 for a, b in zip(watts, watts[1:]))
 
@@ -55,7 +57,7 @@ class TestPowerModelProperties:
         cap = node.idle_power + cap_frac * (node.max_power - node.idle_power)
         node.set_power_cap(cap)
         model = NodePowerModel()
-        sample = model.operating_point(node, util, 1.0)
+        sample = kernel_sample(model, node, util, 1.0)
         assert sample.watts <= cap + 1e-6 or sample.cap_violated
 
     @given(node_params, st.floats(min_value=0.0, max_value=1.0))
@@ -69,7 +71,7 @@ class TestPowerModelProperties:
                 node.min_frequency
                 + frac * (node.max_frequency - node.min_frequency)
             )
-            speeds.append(model.operating_point(node, 1.0, sens).speed)
+            speeds.append(kernel_sample(model, node, 1.0, sens).speed)
         assert all(a <= b + 1e-9 for a, b in zip(speeds, speeds[1:]))
 
 
